@@ -19,7 +19,7 @@
 // reason to exist, enforced in CI with a gated JSON baseline.
 //
 // Flags: --r N (reduction extent, default 2^14; x64 volume)
-//        --json FILE / --trace FILE, --sim-threads N, --no-fastpath
+//        --json FILE / --trace FILE, --sim-threads N
 #include <cmath>
 #include <iostream>
 
@@ -246,12 +246,12 @@ void report(obs::Session& obs, util::TextTable& t, const std::string& name,
 }
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"no-fastpath"});
+  const util::Cli cli(argc, argv);
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   obs::Session obs(cli, "cascade_fusion");
   const std::int64_t r = cli.get_int("r", 1 << 14);
+  cli.reject_unknown();
 
   std::cout << "== Cascade-fusion ablation (fused chain kernel vs one "
                "launch per stage) ==\n\n";

@@ -22,10 +22,9 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace accred;
-  const util::Cli cli(argc, argv, {"no-fastpath"});
+  const util::Cli cli(argc, argv);
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   obs::Session obs(cli, "fig12a_heat");
   const int iters = static_cast<int>(cli.get_int("iters", 50));
   const double tol = cli.get_double("tol", 0.0);
@@ -37,6 +36,7 @@ int run(int argc, char** argv) {
       sizes.push_back(std::stoll(tok));
     }
   }
+  cli.reject_unknown();
 
   std::cout << "== Fig. 12a reproduction: 2D heat equation (max reduction) =="
             << "\niterations: " << iters << ", tolerance: " << tol << "\n\n";

@@ -22,10 +22,9 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace accred;
-  const util::Cli cli(argc, argv, {"verify", "no-fastpath"});
+  const util::Cli cli(argc, argv, {"verify"});
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   obs::Session obs(cli, "fig12b_matmul");
 
   std::vector<std::int64_t> sizes;
@@ -36,6 +35,7 @@ int run(int argc, char** argv) {
     }
   }
   const bool verify = cli.has("verify");
+  cli.reject_unknown();
 
   std::cout << "== Fig. 12b reproduction: matmul, k loop as vector "
                "reduction ==\n\n";

@@ -20,20 +20,23 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace accred;
-  const util::Cli cli(argc, argv, {"full", "no-fastpath"});
+  const util::Cli cli(argc, argv, {"full"});
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   obs::Session obs(cli, "fig12c_montecarlo");
 
+  const std::string samples = cli.get("samples", "4194304,8388608,16777216");
+  const bool full = cli.has("full");
+  cli.reject_unknown();
+
   std::vector<std::int64_t> sample_counts;
-  if (cli.has("full")) {
+  if (full) {
     // 1 / 2 / 4 GB of coordinate data (two double arrays).
     for (std::int64_t gb : {1, 2, 4}) {
       sample_counts.push_back(gb * (1LL << 30) / (2 * 8));
     }
   } else {
-    std::stringstream ss(cli.get("samples", "4194304,8388608,16777216"));
+    std::stringstream ss(samples);
     for (std::string tok; std::getline(ss, tok, ',');) {
       sample_counts.push_back(std::stoll(tok));
     }

@@ -121,15 +121,15 @@ void emit(util::TextTable& t, obs::RunRecord& rec, const std::string& key,
 namespace {
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"profile", "racecheck", "no-fastpath"});
+  const util::Cli cli(argc, argv, {"profile", "racecheck"});
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   const std::int64_t r = cli.get_int("r", 1 << 16);
   const bool profile = cli.get_bool("profile") || obs::profile_env_default();
   const bool racecheck =
       cli.get_bool("racecheck") || gpusim::racecheck_env_default();
   obs::Session obs(cli, "fig6_8_layout_ablation");
+  cli.reject_unknown();
   obs.record().meta("reduction_extent", r);
   if (profile) obs.record().meta("profile", std::int64_t{1});
   if (racecheck) obs.record().meta("racecheck", std::int64_t{1});

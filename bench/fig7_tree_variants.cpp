@@ -72,13 +72,13 @@ gpusim::LaunchStats run_tree_bench(std::uint32_t block_threads,
 namespace {
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"profile", "no-fastpath"});
+  const util::Cli cli(argc, argv, {"profile"});
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   const std::int64_t instances = cli.get_int("instances", 512);
   const bool profile = cli.has("profile") || obs::profile_env_default();
   obs::Session obs(cli, "fig7_tree_variants");
+  cli.reject_unknown();
   obs.record().meta("instances", instances);
   if (profile) obs.record().meta("profile", std::int64_t{1});
 

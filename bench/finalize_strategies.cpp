@@ -47,10 +47,9 @@ gpusim::LaunchStats run(std::size_t count, bool two_pass) {
 namespace {
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"no-fastpath"});
+  const util::Cli cli(argc, argv);
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   obs::Session obs(cli, "finalize_strategies");
   std::vector<std::size_t> counts;
   {
@@ -59,6 +58,7 @@ int run(int argc, char** argv) {
       counts.push_back(std::stoull(tok));
     }
   }
+  cli.reject_unknown();
 
   std::cout << "== Finalize-kernel strategy ablation (extension; the paper "
                "uses the single-block form of Fig. 5c) ==\n\n";

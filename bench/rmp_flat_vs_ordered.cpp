@@ -56,10 +56,9 @@ gpusim::LaunchStats run_wv(std::int64_t nk, std::int64_t nj, std::int64_t ni,
 namespace {
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"no-fastpath"});
+  const util::Cli cli(argc, argv);
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   // nj defaults to several times num_workers: the ordered variant runs a
   // vector tree per (k, j) window instance, so the amplification only
   // shows when each worker handles multiple j's.
@@ -67,6 +66,7 @@ int run(int argc, char** argv) {
   const std::int64_t nj = cli.get_int("nj", 64);
   const std::int64_t nk = 32;
   obs::Session obs(cli, "rmp_flat_vs_ordered");
+  cli.reject_unknown();
   obs.record().meta("nk", nk);
   obs.record().meta("nj", nj);
   obs.record().meta("ni", ni);

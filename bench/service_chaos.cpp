@@ -37,7 +37,6 @@
 //   --r N            base reduction extent (default 256; bursts use 64r)
 //   --workers N      service executor threads (default 2)
 //   --sim-threads N  host threads per kernel launch (results identical)
-//   --no-fastpath    disable the converged-warp interpreter fast path
 //   --metrics        attach both telemetry registries to the record
 //   --json FILE      write the accred.bench record (chaos_report input)
 //   --trace FILE     chrome://tracing export (breaker / cancel / shed spans)
@@ -129,10 +128,9 @@ class Campaign {
 };
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"no-fastpath", "metrics"});
+  const util::Cli cli(argc, argv, {"metrics"});
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   obs::Session obs(cli, "service_chaos");
 
   const std::int64_t r = cli.get_int("r", 256);
@@ -140,6 +138,7 @@ int run(int argc, char** argv) {
   const auto workers = static_cast<std::uint32_t>(cli.get_int("workers", 2));
   const bool metrics_on =
       cli.get_bool("metrics", false) || obs::metrics_env_default();
+  cli.reject_unknown();
 
   // ---- Chaos service: breaker + budget + deadlines + cancellation ----
   std::uint64_t undrained = 0;

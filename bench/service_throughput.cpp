@@ -42,7 +42,6 @@
 //   --faults SPEC      arm SPEC (faultinject.hpp grammar) on the "mallory"
 //                      tenant's jobs only
 //   --sim-threads N    host threads per kernel launch (results identical)
-//   --no-fastpath      disable the converged-warp interpreter fast path
 //   --metrics          attach the telemetry registry to the record
 //                      (default: the ACCRED_METRICS env var)
 //   --json FILE        write the accred.bench record
@@ -160,10 +159,9 @@ P5099 hist_percentiles(const obs::MetricsRegistry& reg,
 }
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"no-fastpath", "metrics"});
+  const util::Cli cli(argc, argv, {"metrics"});
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   obs::Session obs(cli, "service_throughput");
 
   const auto jobs = static_cast<std::size_t>(cli.get_int("jobs", 2500));
@@ -172,8 +170,10 @@ int run(int argc, char** argv) {
   const double rate = cli.get_double("rate", 0.0);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
   const std::string faults = cli.get("faults", "");
+  const std::string tenants = cli.get("tenants", "alice:3,bob:2,carol:1");
+  const auto window_flag = static_cast<std::size_t>(cli.get_int("window", 128));
 
-  TenantMix mix = parse_tenants(cli.get("tenants", "alice:3,bob:2,carol:1"));
+  TenantMix mix = parse_tenants(tenants);
   if (!faults.empty()) {
     service::TenantConfig mallory;
     mallory.name = "mallory";
@@ -190,6 +190,7 @@ int run(int argc, char** argv) {
 
   const bool metrics_on =
       cli.get_bool("metrics", false) || obs::metrics_env_default();
+  cli.reject_unknown();
 
   // ---- Phase 1: throughput ------------------------------------------
   std::vector<service::JobResult> results;
@@ -210,8 +211,7 @@ int run(int argc, char** argv) {
     // with one submitting thread this guarantees zero backpressure
     // rejections, which keeps every admission/cache counter deterministic.
     capacity = svc.config().queue_capacity;
-    const std::size_t window = std::min<std::size_t>(
-        static_cast<std::size_t>(cli.get_int("window", 128)), capacity);
+    const std::size_t window = std::min(window_flag, capacity);
     WorkloadSampler sampler(mix, r, seed);
 
     std::vector<std::future<service::JobResult>> futs;
@@ -447,7 +447,7 @@ int run(int argc, char** argv) {
   obs.record().meta("reduction_extent", r);
   obs.record().meta("workers", static_cast<std::int64_t>(workers));
   obs.record().meta("seed", static_cast<std::int64_t>(seed));
-  obs.record().meta("tenants", cli.get("tenants", "alice:3,bob:2,carol:1"));
+  obs.record().meta("tenants", tenants);
   if (rate > 0) obs.record().meta("rate", rate);
 
   const bool all_ok = failed == 0 || !faults.empty();

@@ -8,7 +8,7 @@
 // metrics are wall_* — host wall clock, never regression-gated.
 #include <benchmark/benchmark.h>
 
-#include <string_view>
+#include <stdexcept>
 #include <vector>
 
 #include "acc/ops.hpp"
@@ -24,11 +24,16 @@ using namespace accred;
 
 void BM_FiberSwitch(benchmark::State& state) {
   gpusim::Fiber f(16 * 1024);
-  f.reset([] {
-    for (;;) gpusim::Fiber::yield();
-  });
+  gpusim::Fiber* const fibers[] = {&f};
+  const std::uint32_t order[] = {0};
+  gpusim::FastChain chain;
+  f.reset(
+      [](void* c) {
+        for (;;) static_cast<gpusim::FastChain*>(c)->park();
+      },
+      &chain);
   for (auto _ : state) {
-    f.resume();  // one switch in, one out
+    chain.run(fibers, order, 1);  // one switch in, one out
   }
   f.abandon();
   state.SetItemsProcessed(state.iterations() * 2);
@@ -181,36 +186,17 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace accred;
-  const util::Cli cli(argc, argv, {"no-fastpath"});
+  // google-benchmark strips the --benchmark_* flags it recognizes from
+  // argv; every flag left over must be one of ours.
+  benchmark::Initialize(&argc, argv);
+  const util::Cli cli(argc, argv);
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   obs::Session obs(cli, "simulator_microbench");
-
-  // google-benchmark rejects flags it does not recognize, so strip ours
-  // (both `--flag value` and `--flag=value` spellings) before handing over.
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--json" || a == "--trace" || a == "--sim-threads") {
-      if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
-        ++i;
-      }
-      continue;
-    }
-    if (a.starts_with("--json=") || a.starts_with("--trace=") ||
-        a.starts_with("--sim-threads=")) {
-      continue;
-    }
-    // Declared boolean: never consumes the next token, so strip it alone.
-    if (a == "--no-fastpath" || a.starts_with("--no-fastpath=")) continue;
-    args.push_back(argv[i]);
-  }
-  int bench_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&bench_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
-    return 1;
+  cli.reject_unknown();
+  if (!cli.positional().empty()) {
+    throw std::invalid_argument("unexpected argument " +
+                                cli.positional().front());
   }
   RecordingReporter reporter(obs.record());
   benchmark::RunSpecifiedBenchmarks(&reporter);

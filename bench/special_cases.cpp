@@ -64,12 +64,12 @@ gpusim::LaunchStats vector_case(std::int64_t r, std::uint32_t vlen,
 namespace {
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"no-fastpath"});
+  const util::Cli cli(argc, argv);
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   const std::int64_t r = cli.get_int("r", 1 << 16);
   obs::Session obs(cli, "special_cases");
+  cli.reject_unknown();
   obs.record().meta("reduction_extent", r);
 
   std::cout << "== Special cases of 3.3 (vector reduction, extent " << r

@@ -47,11 +47,9 @@ namespace {
 int run(int argc, char** argv) {
   using namespace accred;
   const util::Cli cli(argc, argv, {"full", "no-copy", "fig11", "racecheck",
-                                   "no-degrade", "error-on-race", "no-fastpath",
-                                   "ext"});
+                                   "no-degrade", "error-on-race", "ext"});
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   obs::Session obs(cli, "table2_testsuite");
 
   testsuite::RunnerOptions opts;
@@ -67,6 +65,11 @@ int run(int argc, char** argv) {
   testsuite::Runner runner(opts);
 
   const bool full_grid = cli.get("grid", "table2") == "full";
+  const bool emit_cuda = cli.has("emit-cuda");
+  const std::string emit_dir = cli.get("emit-cuda", ".");
+  const bool ext = cli.get_bool("ext");
+  const bool fig11 = cli.get_bool("fig11");
+  cli.reject_unknown();
   const auto grid =
       full_grid ? testsuite::full_grid() : testsuite::table2_grid();
   const std::vector<acc::CompilerId> compilers = {
@@ -96,8 +99,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  if (cli.has("emit-cuda")) {
-    const std::string dir = cli.get("emit-cuda", ".");
+  if (emit_cuda) {
     for (acc::Position pos : testsuite::all_positions()) {
       const testsuite::CaseSpec spec{pos, acc::ReductionOp::kSum,
                                      acc::DataType::kFloat};
@@ -107,7 +109,7 @@ int run(int argc, char** argv) {
       for (char& c : name) {
         if (c == ' ') c = '_';
       }
-      const std::string path = dir + "/reduction_" + name + ".cu";
+      const std::string path = emit_dir + "/reduction_" + name + ".cu";
       std::ofstream out(path);
       out << codegen::emit_cuda(plan, {});
       std::cout << "wrote " << path << "\n";
@@ -122,7 +124,7 @@ int run(int argc, char** argv) {
   // Extended kinds (argmin/argmax, segmented, fused cascade) run in their
   // own grid so the published Table 2 shape stays fixed; their entries ride
   // the same record for the racecheck / fault-campaign tooling.
-  if (cli.get_bool("ext")) {
+  if (ext) {
     std::cout << "\n== Extended reduction kinds ==\n";
     for (const testsuite::ExtSpec& spec : testsuite::ext_grid()) {
       for (acc::CompilerId id : compilers) {
@@ -145,7 +147,7 @@ int run(int argc, char** argv) {
       }
     }
   }
-  if (cli.get_bool("fig11")) {
+  if (fig11) {
     std::cout << "\n== Fig. 11 series ==\n";
     report.print_fig11(std::cout, types, compilers);
   }

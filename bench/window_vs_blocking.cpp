@@ -48,12 +48,12 @@ gpusim::LaunchStats run_same_loop(std::int64_t n, reduce::Assignment mode) {
 namespace {
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"no-fastpath"});
+  const util::Cli cli(argc, argv);
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   const std::int64_t n = cli.get_int("n", 1 << 20);
   obs::Session obs(cli, "window_vs_blocking");
+  cli.reject_unknown();
   obs.record().meta("elements", n);
 
   std::cout << "== Window-sliding vs blocking iteration assignment "

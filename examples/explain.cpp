@@ -51,10 +51,9 @@ std::string trim(std::string s) {
 namespace {
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"cuda", "no-fastpath"});
+  const util::Cli cli(argc, argv, {"cuda"});
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   try {
     acc::NestIR nest;
     std::string var_name = "s";
@@ -84,6 +83,8 @@ int run(int argc, char** argv) {
     const int use = static_cast<int>(cli.get_int("use", -1));
     nest.vars = {{var_name, type, accum, use}};
     const auto id = parse_compiler(cli.get("compiler", "openuh"));
+    const bool cuda = cli.has("cuda");
+    cli.reject_unknown();
     const acc::CompilerProfile& prof = acc::profile(id);
 
     std::cout << "== analysis (" << to_string(id) << ") ==\n";
@@ -118,7 +119,7 @@ int run(int argc, char** argv) {
                       : "global memory")
               << "\n";
 
-    if (cli.has("cuda")) {
+    if (cuda) {
       std::cout << "\n== generated CUDA ==\n"
                 << codegen::emit_cuda(plan, {});
     }

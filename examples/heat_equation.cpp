@@ -17,16 +17,16 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace accred;
-  const util::Cli cli(argc, argv, {"no-fastpath"});
+  const util::Cli cli(argc, argv);
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
 
   obs::Session obs(cli, "heat_equation");
   apps::HeatOptions opts;
   opts.ni = opts.nj = cli.get_int("n", 128);
   opts.max_iterations = static_cast<int>(cli.get_int("iters", 200));
   opts.tolerance = cli.get_double("tol", 1e-2);
+  cli.reject_unknown();
 
   std::cout << "2D heat equation, " << opts.ni << "x" << opts.nj
             << " grid, tolerance " << opts.tolerance << "\n\n";

@@ -19,14 +19,15 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace accred;
-  const util::Cli cli(argc, argv, {"no-verify", "no-fastpath"});
+  const util::Cli cli(argc, argv, {"no-verify"});
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
 
   obs::Session obs(cli, "matrix_multiply");
   apps::MatmulOptions opts;
   opts.n = cli.get_int("n", 96);
+  const bool verify = !cli.has("no-verify");
+  cli.reject_unknown();
 
   std::cout << "matmul " << opts.n << "x" << opts.n
             << ", k loop mapped to a vector '+' reduction\n\n";
@@ -34,7 +35,7 @@ int run(int argc, char** argv) {
   util::TextTable table;
   table.header({"compiler", "device ms", "bank factor", "max |err|"});
   std::vector<float> ref;
-  if (!cli.has("no-verify")) ref = apps::matmul_reference(opts);
+  if (verify) ref = apps::matmul_reference(opts);
 
   for (acc::CompilerId id :
        {acc::CompilerId::kOpenUH, acc::CompilerId::kCapsLike}) {

@@ -19,14 +19,14 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace accred;
-  const util::Cli cli(argc, argv, {"no-fastpath"});
+  const util::Cli cli(argc, argv);
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
 
   obs::Session obs(cli, "monte_carlo_pi");
   apps::MonteCarloOptions opts;
   opts.samples = cli.get_int("samples", 1 << 22);
+  cli.reject_unknown();
   obs.record().meta("samples", opts.samples);
 
   std::cout << "Monte Carlo PI with " << opts.samples << " samples ("

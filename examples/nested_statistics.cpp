@@ -23,12 +23,12 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace accred;
-  const util::Cli cli(argc, argv, {"no-fastpath"});
+  const util::Cli cli(argc, argv);
   gpusim::set_default_sim_threads(
       static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-  gpusim::set_default_fastpath(!cli.get_bool("no-fastpath", false));
   const reduce::Nest3 n{cli.get_int("slabs", 6), cli.get_int("rows", 48),
                         cli.get_int("samples", 4096)};
+  cli.reject_unknown();
 
   gpusim::Device dev;
   const auto volume = static_cast<std::size_t>(n.nk * n.nj * n.ni);

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace accred::acc {
 
@@ -90,8 +91,22 @@ struct RuntimeOp {
 
   [[nodiscard]] constexpr T apply(T a, T b) const {
     switch (op) {
-      case ReductionOp::kSum: return a + b;
-      case ReductionOp::kProd: return a * b;
+      // Integer sums and products wrap in two's complement (CUDA
+      // semantics): computed unsigned, since signed overflow is UB in C++.
+      case ReductionOp::kSum:
+        if constexpr (std::integral<T>) {
+          using U = std::make_unsigned_t<decltype(a + b)>;
+          return static_cast<T>(static_cast<U>(a) + static_cast<U>(b));
+        } else {
+          return a + b;
+        }
+      case ReductionOp::kProd:
+        if constexpr (std::integral<T>) {
+          using U = std::make_unsigned_t<decltype(a * b)>;
+          return static_cast<T>(static_cast<U>(a) * static_cast<U>(b));
+        } else {
+          return a * b;
+        }
       // min/max propagate NaN regardless of operand order: std::min/max
       // return the first operand on unordered comparisons, so a bare
       // std::max(a, b) silently drops a NaN in `b` — which fold order

@@ -5,20 +5,16 @@
 // On x86_64 a hand-rolled callee-saved-register context switch is used
 // (a few ns per switch); other platforms fall back to POSIX ucontext.
 //
-// Two execution modes share the same stacks (DESIGN.md §12):
-//   * resume()/yield(): the classic pairwise protocol — every suspension
-//     bounces through the scheduler frame (two switches per suspension);
-//   * FastChain: the converged-warp fast path — the scheduler enters a
-//     ready list once and each suspending lane transfers control straight
-//     into the next lane's fiber (one switch per suspension, no scheduler
-//     frame in between), returning to the scheduler only when the whole
-//     pass has parked, completed, or faulted.
+// Lanes run through one protocol on either backend (DESIGN.md §12):
+// FastChain enters a ready list once and each suspending lane transfers
+// control straight into the next lane's fiber (one switch per suspension,
+// no scheduler frame in between), returning to the scheduler only when the
+// whole pass has parked, completed, or faulted.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 
 #if !defined(ACCRED_FIBER_ASM)
@@ -40,6 +36,14 @@ namespace accred::gpusim {
 
 class FastChain;
 
+/// Saved execution context of a suspended stack: the stack pointer on the
+/// asm backend, a full ucontext_t on the fallback.
+#if defined(ACCRED_FIBER_ASM)
+using FiberContext = void*;
+#else
+using FiberContext = ucontext_t;
+#endif
+
 /// A reusable fiber stack. Stacks are the expensive part of a fiber, so the
 /// block scheduler keeps a pool of them (FiberStackPool, pool.hpp) and
 /// re-binds entry functions per simulated thread block.
@@ -48,6 +52,8 @@ public:
   /// Allocation-free entry point: `fn(arg)` runs on the fiber's stack.
   /// The scheduler arms one of these per simulated thread per block —
   /// re-arming stores two pointers instead of constructing a closure.
+  /// An entry never returns and never throws: it ends with
+  /// FastChain::leave(), after storing any exception via set_exception().
   using RawEntry = void (*)(void*);
 
   /// `stack_size` must be a multiple of 16; 64 KiB is ample for the device
@@ -63,22 +69,12 @@ public:
   Fiber(Fiber&&) = delete;
   Fiber& operator=(Fiber&&) = delete;
 
-  /// Arm the fiber with a new entry point. Must not be running.
-  void reset(std::function<void()> entry);
-  /// Arm with a raw entry point — no allocation, no closure construction.
+  /// Arm with an entry point — no allocation, no closure construction.
+  /// Must not be running.
   void reset(RawEntry entry, void* arg);
 
-  /// Switch from the calling context into the fiber. Returns when the fiber
-  /// calls yield() or its entry function returns. If the entry function
-  /// exited with an exception, it is rethrown here in the resumer's context.
-  void resume();
-
-  /// Called from inside a fiber: suspend and return control to resume()'s
-  /// caller. Undefined behaviour if called outside any fiber.
-  static void yield();
-
-  /// True once the entry function has returned. resume() must not be called
-  /// again until reset().
+  /// True once the entry has left its chain for good. A FastChain pass
+  /// must not enter the fiber again until reset().
   [[nodiscard]] bool done() const noexcept { return done_; }
 
   /// Abandon a suspended fiber after a fatal simulation error: marks it
@@ -95,56 +91,40 @@ public:
   /// LaunchError so top-level handlers always have a what() to print. Only
   /// callable from inside a catch block.
   [[nodiscard]] static std::exception_ptr capture_current_exception();
-  /// Store the exception resume()/FastChain::run() will rethrow. Used by
-  /// the scheduler's fast-path thunk, which catches at the kernel boundary
-  /// instead of relying on the trampoline's handler.
+  /// Store the exception FastChain::run() will rethrow. Entries catch at
+  /// their boundary (exceptions cannot unwind through a context switch)
+  /// and call this before FastChain::leave().
   void set_exception(std::exception_ptr e) noexcept { eptr_ = std::move(e); }
 
 private:
   friend class FastChain;
 
-  static void trampoline();
+  static void trampoline() noexcept;
   void prepare_stack();
-  /// Bounce std::function entries through the raw-entry path so the
-  /// trampoline has a single calling convention.
-  static void call_std_function(void* self);
 
   std::size_t stack_size_;
   std::byte* stack_base_ = nullptr;        // start of the usable stack
   std::unique_ptr<std::byte[]> owned_;     // set only for self-owned stacks
   RawEntry raw_entry_ = nullptr;
   void* raw_arg_ = nullptr;
-  std::function<void()> entry_;            // back-compat reset() storage
   std::exception_ptr eptr_;
   bool done_ = true;  // no entry armed yet
-
-#if defined(ACCRED_FIBER_ASM)
-  void* self_sp_ = nullptr;    // fiber's saved stack pointer while suspended
-  void* caller_sp_ = nullptr;  // resumer's saved stack pointer while running
-#else
-  ucontext_t self_ctx_{};
-  ucontext_t caller_ctx_{};
-#endif
+  FiberContext self_ctx_{};  // saved context while suspended
 
 #if defined(ACCRED_TSAN_FIBERS)
-  void* tsan_fiber_ = nullptr;   // TSan-side context for this fiber
-  void* tsan_caller_ = nullptr;  // resumer's TSan context while running
+  void* tsan_fiber_ = nullptr;  // TSan-side context for this fiber
 #endif
 };
 
 /// Converged-warp pass driver: runs an ordered list of lane fibers with one
-/// context switch per suspension instead of two. The scheduler calls run()
-/// once per pass; each lane that suspends (park()) or finishes (leave())
-/// transfers control directly into the next unstarted lane's fiber, and the
-/// last lane — or the first faulting one — returns to the scheduler frame.
+/// context switch per suspension. The scheduler calls run() once per pass;
+/// each lane that suspends (park()) or finishes (leave()) transfers control
+/// directly into the next unstarted lane's fiber, and the last lane — or
+/// the first faulting one — returns to the scheduler frame.
 ///
-/// The protocol preserves the classic resume-loop semantics exactly: lanes
-/// start in list order, a lane exception stops the pass before any later
-/// lane runs (run() rethrows it, like Fiber::resume() would), and fibers
-/// parked by park() can be re-entered by a later run() just as if they had
-/// yielded. The one restriction is symmetric use: a block must be driven
-/// either entirely by run() passes or entirely by resume()/yield() —
-/// park() does not maintain the caller-frame bookkeeping yield() relies on.
+/// Lanes start in list order, a lane exception stops the pass before any
+/// later lane runs (run() rethrows it), and fibers parked by park() are
+/// re-entered by a later run().
 class FastChain {
 public:
   /// Run every lane of `order` (indices into `fibers`) once to its next
@@ -160,8 +140,7 @@ public:
   /// Lane side: the running lane is finished — normally or with its
   /// exception already stored via Fiber::set_exception(). Marks the fiber
   /// done, abandons its frame, and continues the pass; on a stored
-  /// exception the pass aborts straight to the scheduler. Never returns
-  /// into a frame that is resumed again.
+  /// exception the pass aborts straight to the scheduler. Never returns.
   void leave();
 
 private:
@@ -174,11 +153,7 @@ private:
   std::uint32_t count_ = 0;
   std::uint32_t next_ = 0;          ///< next order_ index to enter
   Fiber* current_ = nullptr;        ///< lane holding control (eptr lookup)
-#if defined(ACCRED_FIBER_ASM)
-  void* sched_sp_ = nullptr;        ///< scheduler frame while a pass runs
-#else
-  ucontext_t sched_ctx_{};
-#endif
+  FiberContext sched_ctx_{};        ///< scheduler frame while a pass runs
 #if defined(ACCRED_TSAN_FIBERS)
   void* tsan_sched_ = nullptr;
 #endif

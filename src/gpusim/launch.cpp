@@ -55,11 +55,6 @@ LaunchStats launch(Device& dev, Dim3 grid, Dim3 block,
   SimOptions sched_opts = opts;
   sched_opts.profile = profiling;
   sched_opts.racecheck = racecheck;
-  // Converged-warp fast path: the per-launch knob AND the process default
-  // (ACCRED_FASTPATH env / --no-fastpath, pool.hpp) must both be on.
-  // Resolved once so every shard takes the same path; either way the
-  // results are bit-identical (DESIGN.md §12).
-  sched_opts.fastpath = opts.fastpath && default_fastpath();
   // Fault injection: an explicit spec (SimOptions::faults), a pre-resolved
   // plan, or the ACCRED_FAULTS env default. Parsed once so every shard
   // scheduler arms the identical immutable plan.

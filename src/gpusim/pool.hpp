@@ -139,20 +139,11 @@ void set_default_sim_threads(std::uint32_t n);
 /// pathological ACCRED_SIM_THREADS values, far above any real host).
 inline constexpr std::uint32_t kMaxSimThreads = 256;
 
-/// Ambient default for SimOptions::fastpath (the converged-warp fast path,
-/// DESIGN.md §12): on unless the ACCRED_FASTPATH environment variable is
-/// explicitly falsy ("0"/"false"/"no"/"off", parsed once) or a bench's
-/// --no-fastpath flag called set_default_fastpath(false). A launch runs the
-/// fast path only when both its SimOptions::fastpath and this default are
-/// true, so either knob can force the classic fiber path for bisection.
-[[nodiscard]] bool default_fastpath();
-void set_default_fastpath(bool on);
-
 /// One contiguous slab of fiber stacks, recycled across thread blocks and
 /// launches. Each tls_scheduler() owns one: a block only reallocates when
 /// its shape outgrows every block the scheduler has seen, so steady-state
 /// simulation performs zero stack allocations. Contiguity keeps the lane
-/// stacks of one warp adjacent, which the chained fast path walks in order.
+/// stacks of one warp adjacent, which the chained warp pass walks in order.
 class FiberStackPool {
 public:
   /// Ensure capacity for `count` stacks of `stack_bytes` each (16-aligned).

@@ -41,26 +41,18 @@ void BlockScheduler::run_thread(void* arg) {
   const LaneArg& a = *static_cast<LaneArg*>(arg);
   BlockScheduler& s = *a.sched;
   const std::uint32_t t = a.tid;
-  if (s.use_fastpath_) {
-    // Fast path: catch at the kernel boundary ourselves and hand control
-    // straight to the next lane in the pass — the trampoline's handler and
-    // final switch-back never run (leave() abandons this frame).
-    try {
-      ThreadCtx ctx(s.block_, unflatten_thread(t, s.cur_block_dim_),
-                    s.cur_block_idx_, s.cur_block_dim_, s.cur_grid_dim_);
-      (*s.cur_kernel_)(ctx);
-      s.block_.phase[t] = ThreadPhase::kDone;
-    } catch (...) {
-      s.fibers_[t]->set_exception(Fiber::capture_current_exception());
-    }
-    s.chain_.leave();  // never returns
+  // Exceptions cannot unwind through a context switch, so catch at the
+  // kernel boundary and hand control straight to the next lane in the pass
+  // (leave() abandons this frame).
+  try {
+    ThreadCtx ctx(s.block_, unflatten_thread(t, s.cur_block_dim_),
+                  s.cur_block_idx_, s.cur_block_dim_, s.cur_grid_dim_);
+    (*s.cur_kernel_)(ctx);
+    s.block_.phase[t] = ThreadPhase::kDone;
+  } catch (...) {
+    s.fibers_[t]->set_exception(Fiber::capture_current_exception());
   }
-  // Classic path: return into the trampoline, which captures exceptions and
-  // switches back to resume()'s frame.
-  ThreadCtx ctx(s.block_, unflatten_thread(t, s.cur_block_dim_),
-                s.cur_block_idx_, s.cur_block_dim_, s.cur_grid_dim_);
-  (*s.cur_kernel_)(ctx);
-  s.block_.phase[t] = ThreadPhase::kDone;
+  s.chain_.leave();  // never returns
 }
 
 void BlockScheduler::advance_warp(std::uint32_t w, std::uint32_t nthreads) {
@@ -76,15 +68,10 @@ void BlockScheduler::advance_warp(std::uint32_t w, std::uint32_t nthreads) {
   std::vector<std::uint32_t>& arrived = block_.warp_pending[w];
   for (;;) {
     if (!ready_.empty()) {
-      if (use_fastpath_) {
-        // One chained pass: lane -> lane -> ... -> scheduler, a single
-        // context switch per suspension. Event order is identical to the
-        // resume loop below — lanes run in list order either way.
-        chain_.run(fiber_raw_.data(), ready_.data(),
-                   static_cast<std::uint32_t>(ready_.size()));
-      } else {
-        for (std::uint32_t t : ready_) fibers_[t]->resume();
-      }
+      // One chained pass: lane -> lane -> ... -> scheduler, a single
+      // context switch per suspension, lanes in ready-list order.
+      chain_.run(fiber_raw_.data(), ready_.data(),
+                 static_cast<std::uint32_t>(ready_.size()));
     }
     // Every resumed lane is now parked at syncwarp (listed in `arrived`),
     // at the block barrier, or done.
@@ -177,8 +164,7 @@ BlockRun BlockScheduler::run_block(const KernelFn& kernel,
   block_.barrier_site_mismatch = false;
   block_.strict_barriers = opts_.strict_barriers;
 
-  use_fastpath_ = opts_.fastpath;
-  block_.chain = use_fastpath_ ? &chain_ : nullptr;
+  block_.chain = &chain_;
 
   // Lane stacks come from the pooled slab: steady-state blocks reuse both
   // the slab and the Fiber objects, so arming a lane is two stored pointers

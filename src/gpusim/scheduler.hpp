@@ -78,15 +78,6 @@ struct SimOptions {
   /// transient strings; empty renders as "kernel". Has no effect on
   /// simulation or stats.
   std::string label;
-  /// Converged-warp fast path (DESIGN.md §12): drive each warp pass as one
-  /// chained sweep over its ready lanes (FastChain — one context switch per
-  /// suspension, no scheduler bounce) instead of the classic per-lane
-  /// resume()/yield() round-trips. Purely an execution strategy: every
-  /// statistic, profile, race report and fault event is bit-identical with
-  /// it on or off, for any sim_threads. launch() additionally gates this on
-  /// default_fastpath() (the ACCRED_FASTPATH env / --no-fastpath override,
-  /// pool.hpp), so either knob can force the classic path for bisection.
-  bool fastpath = true;
 };
 
 /// Per-block outputs of one simulated block that must merge in flattened
@@ -151,9 +142,7 @@ private:
   /// Fiber entry point for one simulated thread (Fiber::RawEntry): builds
   /// the ThreadCtx and runs the current kernel. Arming it stores two
   /// pointers per lane per block — no closure allocation. `arg` is a
-  /// LaneArg; one entry serves both execution modes (the fast path catches
-  /// at the kernel boundary and leave()s, the classic path returns into the
-  /// trampoline).
+  /// LaneArg. Catches at the kernel boundary and ends with chain_.leave().
   static void run_thread(void* arg);
 
   /// Per-lane argument for run_thread; stable for the duration of a block.
@@ -168,12 +157,11 @@ private:
   RaceChecker racecheck_;       ///< per-block shadow state when racechecking
   BlockFaults faults_;          ///< per-block injector state when armed
   FiberStackPool stacks_;       ///< pooled lane stacks, recycled per block
-  FastChain chain_;             ///< fast-path pass driver (DESIGN.md §12)
+  FastChain chain_;             ///< warp pass driver (DESIGN.md §12)
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<Fiber*> fiber_raw_;     ///< fibers_[i].get(), chain_.run input
   std::vector<LaneArg> lane_args_;    ///< run_thread args, one per lane
   std::vector<std::uint32_t> ready_;  ///< advance_warp scratch: runnable tids
-  bool use_fastpath_ = false;         ///< resolved per run_block from opts_
 
   // Launch parameters of the block currently simulating, for run_thread.
   const KernelFn* cur_kernel_ = nullptr;

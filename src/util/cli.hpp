@@ -8,6 +8,10 @@
 // --profile). Declared booleans never consume the next argument; read them
 // with get_bool(), which also accepts explicit `--flag=0` / `--flag=true`
 // forms.
+//
+// Every flag name a getter asks about is remembered, so a main can call
+// reject_unknown() after its last read: a misspelled or retired flag
+// (`--sim-thread 4`) then fails loudly instead of being ignored.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +50,12 @@ public:
   }
 
   [[nodiscard]] bool has(const std::string& name) const {
-    return flags_.contains(name);
+    return find(name) != flags_.end();
   }
 
   [[nodiscard]] std::string get(const std::string& name,
                                 std::string fallback) const {
-    auto it = flags_.find(name);
+    auto it = find(name);
     return it == flags_.end() ? std::move(fallback) : it->second;
   }
 
@@ -60,7 +64,7 @@ public:
   /// -> true; anything else is a usage error.
   [[nodiscard]] bool get_bool(const std::string& name,
                               bool fallback = false) const {
-    auto it = flags_.find(name);
+    auto it = find(name);
     if (it == flags_.end()) return fallback;
     const std::string& v = it->second;
     if (v.empty() || v == "1" || v == "true" || v == "yes" || v == "on") {
@@ -73,7 +77,7 @@ public:
 
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const {
-    auto it = flags_.find(name);
+    auto it = find(name);
     if (it == flags_.end()) return fallback;
     std::size_t pos = 0;
     std::int64_t v = 0;
@@ -93,7 +97,7 @@ public:
 
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const {
-    auto it = flags_.find(name);
+    auto it = find(name);
     if (it == flags_.end()) return fallback;
     std::size_t pos = 0;
     double v = 0;
@@ -115,8 +119,28 @@ public:
     return positional_;
   }
 
+  /// Throws std::invalid_argument naming every flag on the command line
+  /// that no has()/get*() call has asked about. Call after the last flag
+  /// read and before any work.
+  void reject_unknown() const {
+    std::string msg;
+    for (const auto& [name, value] : flags_) {
+      if (read_.contains(name)) continue;
+      msg += msg.empty() ? "unknown flag --" : ", --";
+      msg += name;
+    }
+    if (!msg.empty()) throw std::invalid_argument(msg);
+  }
+
 private:
+  std::map<std::string, std::string>::const_iterator find(
+      const std::string& name) const {
+    read_.insert(name);
+    return flags_.find(name);
+  }
+
   std::map<std::string, std::string> flags_;
+  mutable std::set<std::string> read_;  ///< every name a getter asked about
   std::set<std::string, std::less<>> bool_flags_;
   std::vector<std::string> positional_;
 };

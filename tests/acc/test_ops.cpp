@@ -211,6 +211,18 @@ TEST(Ops, UnsignedWrapIsWellDefined) {
   EXPECT_EQ(sum.apply(0xFFFFFFFFu, 1u), 0u);
 }
 
+// Signed sums and products wrap in two's complement like CUDA's integer
+// ops. apply() is constexpr, so a signed overflow (UB) would not compile.
+constexpr std::int32_t kI32Max = std::numeric_limits<std::int32_t>::max();
+constexpr std::int32_t kI32Min = std::numeric_limits<std::int32_t>::min();
+static_assert(RuntimeOp<std::int32_t>{ReductionOp::kSum}.apply(kI32Max, 1) ==
+              kI32Min);
+static_assert(RuntimeOp<std::int32_t>{ReductionOp::kProd}.apply(kI32Max, 2) ==
+              -2);
+static_assert(RuntimeOp<std::int64_t>{ReductionOp::kProd}.apply(
+                  std::numeric_limits<std::int64_t>::min(), -1) ==
+              std::numeric_limits<std::int64_t>::min());
+
 TEST(Types, SizesAndNames) {
   EXPECT_EQ(size_of(DataType::kInt32), 4u);
   EXPECT_EQ(size_of(DataType::kDouble), 8u);

@@ -1,18 +1,15 @@
-// Determinism matrix for the converged-warp fast path (DESIGN.md §12):
-// the chained interpreter must produce bit-identical LaunchStats, per-stage
-// profiles, racecheck reports, and fault-injection events for every
-// {fastpath on/off} x {sim_threads 1/4} combination — the hard contract
-// that lets the fast path default to on. Also re-exercises the PR-4 style
-// barrier-deletion mutant under both execution modes.
+// Golden determinism check for the chained warp interpreter (DESIGN.md §12):
+// LaunchStats, per-stage profiles, racecheck reports, and fault-injection
+// events hash to values recorded from the retired per-lane resume loop,
+// which produced the same bits, for sim_threads 1 and 4. A deliberate model
+// change updates the hashes; anything else that moves them is a bug.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cstdint>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "gpusim/launch.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
 #include "reduce/tree.hpp"
@@ -25,7 +22,7 @@ using gpusim::LaunchStats;
 using gpusim::SimOptions;
 using gpusim::ThreadCtx;
 
-/// Everything the fast-path contract gates, folded into one comparable
+/// Everything the determinism contract gates, folded into one comparable
 /// string. Doubles print as hexfloat so "identical" means bit-identical.
 std::string fingerprint(const LaunchStats& s) {
   std::ostringstream os;
@@ -45,6 +42,25 @@ std::string fingerprint(const LaunchStats& s) {
     os << to_string(e) << '\n';
   }
   return os.str();
+}
+
+/// FNV-1a 64 of a fingerprint: a stable hash to pin golden values.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Asserts that `fp` hashes to `golden`; the message carries the actual
+/// hash so an intended model change can update the constant.
+void expect_golden(const std::string& fp, std::uint64_t golden,
+                   std::uint32_t sim_threads) {
+  const std::uint64_t got = fnv1a(fp);
+  EXPECT_EQ(got, golden) << "sim_threads=" << sim_threads << " hash 0x"
+                         << std::hex << got << "\n"
+                         << fp;
 }
 
 /// Divergent tree reduction exercising every gated output: a grid-stride
@@ -73,15 +89,13 @@ struct DivergentTreeFixture {
     }
   }
 
-  LaunchStats run(bool fastpath, std::uint32_t sim_threads,
-                  const std::string& faults = {}) {
+  LaunchStats run(std::uint32_t sim_threads, const std::string& faults = {}) {
     out.fill(0.0F);
     auto dv = data.view();
     auto ov = out.view();
     auto sb = sbuf;
     auto op = rop;
     SimOptions opts;
-    opts.fastpath = fastpath;
     opts.sim_threads = sim_threads;
     opts.profile = true;
     opts.racecheck = true;
@@ -99,7 +113,7 @@ struct DivergentTreeFixture {
               priv += ctx.ld(dv, static_cast<std::size_t>(i));
             }
             // Lane-dependent divergence: a third of each warp does extra
-            // reads and ALU work, so the fast path crosses reconvergence
+            // reads and ALU work, so the chained pass crosses reconvergence
             // points with lanes in different states.
             if (ctx.threadIdx.x % 3 == 0) {
               priv += ctx.ld(dv, ctx.threadIdx.x);
@@ -119,62 +133,52 @@ struct DivergentTreeFixture {
         opts);
   }
 
-  std::vector<float> partials() const {
-    return {out.host_span().begin(), out.host_span().end()};
+  /// The kernel's per-block outputs, bit-exact.
+  std::string partials() const {
+    std::ostringstream os;
+    os << std::hexfloat;
+    for (const float v : out.host_span()) os << v << ' ';
+    return os.str();
   }
 };
 
-TEST(Fastpath, DeterminismMatrixBitIdentical) {
-  DivergentTreeFixture fix;
-  const LaunchStats ref = fix.run(/*fastpath=*/false, /*sim_threads=*/1);
-  const std::string ref_fp = fingerprint(ref);
-  const std::vector<float> ref_out = fix.partials();
-  EXPECT_GT(ref.barriers, 0U);
-  EXPECT_GT(ref.syncwarps, 0U);
-  EXPECT_FALSE(ref.profile.empty());
-  EXPECT_EQ(ref.races, 0U);  // the clean kernel must stay clean
+// Golden hashes of fingerprint() (plus partials() for the clean kernel).
+constexpr std::uint64_t kCleanGolden = 0xc0b0ce3cb172bc7b;
+constexpr std::uint64_t kCampaignGolden = 0xde7745f3993bc622;
+constexpr std::uint64_t kMutantGolden = 0x962034c7a40b0d7a;
 
-  for (bool fast : {false, true}) {
-    for (std::uint32_t threads : {1U, 4U}) {
-      const LaunchStats got = fix.run(fast, threads);
-      EXPECT_EQ(ref_fp, fingerprint(got))
-          << "fastpath=" << fast << " sim_threads=" << threads;
-      const std::vector<float> out = fix.partials();
-      ASSERT_EQ(ref_out.size(), out.size());
-      EXPECT_EQ(0, std::memcmp(ref_out.data(), out.data(),
-                               ref_out.size() * sizeof(float)))
-          << "fastpath=" << fast << " sim_threads=" << threads;
-    }
+TEST(Fastpath, CleanKernelMatchesGolden) {
+  DivergentTreeFixture fix;
+  for (std::uint32_t threads : {1U, 4U}) {
+    const LaunchStats got = fix.run(threads);
+    EXPECT_GT(got.barriers, 0U);
+    EXPECT_GT(got.syncwarps, 0U);
+    EXPECT_FALSE(got.profile.empty());
+    EXPECT_EQ(got.races, 0U);  // the clean kernel must stay clean
+    expect_golden(fingerprint(got) + fix.partials(), kCleanGolden, threads);
   }
 }
 
-TEST(Fastpath, FaultCampaignEventsIdenticalAcrossModes) {
+TEST(Fastpath, FaultCampaignEventsMatchGolden) {
   // A two-fault campaign: a seeded bit flip in the load stage of block 2
   // and a dropped barrier in block 7's tree stage. Event lists, race
   // reports (the skipped barrier races), and the lenient-mode diagnostic
-  // counters must be identical for every matrix cell.
+  // counters are pinned.
   const std::string campaign =
       "bitflip@load:block=2,nth=1,seed=9;skip_barrier@tree:block=7,warp=0";
   DivergentTreeFixture fix;
-  const LaunchStats ref = fix.run(false, 1, campaign);
-  const std::string ref_fp = fingerprint(ref);
-  EXPECT_TRUE(ref.faults_armed);
-  EXPECT_FALSE(ref.fault_events.empty());
-
-  for (bool fast : {false, true}) {
-    for (std::uint32_t threads : {1U, 4U}) {
-      const LaunchStats got = fix.run(fast, threads, campaign);
-      EXPECT_EQ(ref_fp, fingerprint(got))
-          << "fastpath=" << fast << " sim_threads=" << threads;
-    }
+  for (std::uint32_t threads : {1U, 4U}) {
+    const LaunchStats got = fix.run(threads, campaign);
+    EXPECT_TRUE(got.faults_armed);
+    EXPECT_FALSE(got.fault_events.empty());
+    expect_golden(fingerprint(got), kCampaignGolden, threads);
   }
 }
 
-TEST(Fastpath, BarrierDeletionMutantRacesIdenticallyAcrossModes) {
-  // The PR-4 style mutant: a hand-rolled tree that drops syncthreads while
-  // multiple warps still participate. Racecheck must flag the same races —
-  // same count, same first reports, same stage attribution — whether the
-  // block runs chained or through the classic per-lane resume loop.
+TEST(Fastpath, BarrierDeletionMutantRacesMatchGolden) {
+  // The barrier-deletion mutant: a hand-rolled tree that drops syncthreads
+  // while multiple warps still participate. Racecheck must flag the same races —
+  // same count, same first reports, same stage attribution.
   Device dev;
   constexpr std::uint32_t kThreads = 128;
   auto out = dev.alloc<float>(4);
@@ -182,10 +186,9 @@ TEST(Fastpath, BarrierDeletionMutantRacesIdenticallyAcrossModes) {
   auto sb = layout.add<float>(kThreads);
   auto ov = out.view();
 
-  auto run = [&](bool fastpath, std::uint32_t sim_threads) {
+  auto run = [&](std::uint32_t sim_threads) {
     out.fill(0.0F);
     SimOptions opts;
-    opts.fastpath = fastpath;
     opts.sim_threads = sim_threads;
     opts.racecheck = true;
     opts.profile = true;
@@ -212,33 +215,12 @@ TEST(Fastpath, BarrierDeletionMutantRacesIdenticallyAcrossModes) {
         opts);
   };
 
-  const LaunchStats ref = run(false, 1);
-  const std::string ref_fp = fingerprint(ref);
-  EXPECT_GT(ref.races, 0U) << "the mutant must actually race";
-  EXPECT_FALSE(ref.race_reports.empty());
-
-  for (bool fast : {false, true}) {
-    for (std::uint32_t threads : {1U, 4U}) {
-      EXPECT_EQ(ref_fp, fingerprint(run(fast, threads)))
-          << "fastpath=" << fast << " sim_threads=" << threads;
-    }
+  for (std::uint32_t threads : {1U, 4U}) {
+    const LaunchStats got = run(threads);
+    EXPECT_GT(got.races, 0U) << "the mutant must actually race";
+    EXPECT_FALSE(got.race_reports.empty());
+    expect_golden(fingerprint(got), kMutantGolden, threads);
   }
-}
-
-TEST(Fastpath, ProcessDefaultGatesTheLaunchOption) {
-  // launch() runs chained only when SimOptions::fastpath AND the process
-  // default agree; either knob must force the classic path with identical
-  // results (the bisection story for --no-fastpath / ACCRED_FASTPATH=0).
-  const bool saved = gpusim::default_fastpath();
-  DivergentTreeFixture fix;
-  const std::string on = fingerprint(fix.run(true, 1));
-
-  gpusim::set_default_fastpath(false);
-  const std::string forced_off = fingerprint(fix.run(true, 1));
-  gpusim::set_default_fastpath(saved);
-
-  EXPECT_EQ(on, forced_off);
-  EXPECT_EQ(gpusim::default_fastpath(), saved);
 }
 
 }  // namespace

@@ -159,5 +159,48 @@ TEST(Cli, TrailingDeclaredAndUndeclaredBooleans) {
   EXPECT_TRUE(cli.get_bool("racecheck"));
 }
 
+TEST(Cli, RejectUnknownNamesAMisspelledFlag) {
+  // `--sim-thread 4` used to be accepted silently while the bench ran with
+  // the default --sim-threads.
+  auto cli = make_cli({"--sim-thread", "4", "--r", "8"});
+  EXPECT_EQ(cli.get_int("sim-threads", 0), 0);
+  EXPECT_EQ(cli.get_int("r", 0), 8);
+  try {
+    cli.reject_unknown();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --sim-thread");
+  }
+}
+
+TEST(Cli, RejectUnknownNamesEveryUnreadFlag) {
+  // A retired boolean and a second typo are both reported.
+  auto cli = make_cli({"--no-fastpath", "--jsn=out.json", "--verify"},
+                      {"verify"});
+  EXPECT_TRUE(cli.get_bool("verify"));
+  try {
+    cli.reject_unknown();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("unknown flag"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--no-fastpath"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--jsn"), std::string::npos) << msg;
+  }
+}
+
+TEST(Cli, RejectUnknownAcceptsFlagsReadByAnyGetter) {
+  auto cli = make_cli({"--a", "--b=x", "--c=1", "--d", "2", "--e=0.5", "pos"},
+                      {"a", "c"});
+  EXPECT_TRUE(cli.has("a"));
+  EXPECT_EQ(cli.get("b", ""), "x");
+  EXPECT_TRUE(cli.get_bool("c"));
+  EXPECT_EQ(cli.get_int("d", 0), 2);
+  EXPECT_DOUBLE_EQ(cli.get_double("e", 0), 0.5);
+  // Asking about an absent flag is fine too; positionals are not flags.
+  EXPECT_FALSE(cli.has("absent"));
+  EXPECT_NO_THROW(cli.reject_unknown());
+}
+
 }  // namespace
 }  // namespace accred
