@@ -58,8 +58,8 @@ int run(int argc, char** argv) {
   opts.parallel_work = !cli.get_bool("no-copy");
   opts.racecheck = cli.get_bool("racecheck");
   opts.faults = cli.get("faults", "");
-  opts.max_retries = static_cast<int>(cli.get_int("max-retries", 1));
-  opts.degrade = !cli.get_bool("no-degrade");
+  opts.guard.max_retries = static_cast<int>(cli.get_int("max-retries", 1));
+  opts.guard.degrade = !cli.get_bool("no-degrade");
   opts.error_on_race = cli.get_bool("error-on-race");
   opts.max_steps = static_cast<std::uint64_t>(cli.get_int("max-steps", 0));
   testsuite::Runner runner(opts);
@@ -143,6 +143,7 @@ int run(int argc, char** argv) {
         e.metric("attempts", static_cast<double>(cell.attempts));
         e.attr("kind", std::string(to_string(spec.kind)));
         e.attr("compiler", std::string(to_string(id)));
+        testsuite::outcome_attrs(e, cell);
         e.stats(cell.stats);
       }
     }

@@ -6,12 +6,17 @@
 //   slab_peak[slab]       = MAX over row energies     (worker level)
 //   total                 = SUM over slab peaks       (gang level)
 //
-// — the Fig. 4 chain with mixed operators.
+// — the Fig. 4 chain with mixed operators. The nest is written as a user
+// annotates it (one reduction clause per level, each variable read by the
+// next level out); the planner detects the chain and lowers it to one
+// fused kernel plus the gang finalize.
 //
 //   ./nested_statistics [--slabs S] [--rows R] [--samples N]
 #include <iostream>
 
-#include "reduce/cascade.hpp"
+#include "acc/planner.hpp"
+#include "acc/profiles.hpp"
+#include "reduce/fused_cascade.hpp"
 #include "gpusim/pool.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -38,7 +43,24 @@ int run(int argc, char** argv) {
   auto peaks = dev.alloc<double>(static_cast<std::size_t>(n.nk));
   auto pv = peaks.view();
 
-  reduce::CascadeBindings<double> b;
+  acc::NestIR nest;
+  nest.loops = {
+      {acc::mask_of(acc::Par::kGang), n.nk,
+       {{acc::ReductionOp::kSum, "total"}}},
+      {acc::mask_of(acc::Par::kWorker), n.nj,
+       {{acc::ReductionOp::kMax, "slab_peak"}}},
+      {acc::mask_of(acc::Par::kVector), n.ni,
+       {{acc::ReductionOp::kSum, "row_energy"}}},
+  };
+  nest.vars = {
+      {"row_energy", acc::DataType::kDouble, 2, 1},
+      {"slab_peak", acc::DataType::kDouble, 1, 0},
+      {"total", acc::DataType::kDouble, 0, acc::VarInfo::kHostUse},
+  };
+  const acc::ExecutionPlan plan =
+      acc::plan_chained(nest, acc::profile(acc::CompilerId::kOpenUH));
+
+  reduce::FusedChainBindings<double> b;
   b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
                   std::int64_t i) {
     const double v = ctx.ld(cv, std::size_t((k * n.nj + j) * n.ni + i));
@@ -49,11 +71,8 @@ int run(int argc, char** argv) {
     ctx.st(pv, std::size_t(k), r);
   };
 
-  const auto res = reduce::run_cascaded_reduction<double>(
-      dev, n, {},
-      reduce::CascadeOps{acc::ReductionOp::kSum, acc::ReductionOp::kMax,
-                         acc::ReductionOp::kSum},
-      b);
+  const auto res = reduce::run_fused_chain<double>(
+      dev, plan.chain, plan.dims, plan.launch, b, plan.strategy);
 
   std::cout << "cube " << n.nk << " slabs x " << n.nj << " rows x " << n.ni
             << " samples; one device pass, " << res.kernels

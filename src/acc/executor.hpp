@@ -3,11 +3,12 @@
 // stage; codegen/cuda_emitter.hpp is its source-text twin.
 //
 // execute() is the bare dispatch: any device-side failure (watchdog trip,
-// injected fault, OOM) escapes as gpusim::LaunchError. execute_guarded()
-// wraps it in the graceful-degradation policy of DESIGN.md §11: re-run a
-// failed attempt up to GuardPolicy::max_retries times, then walk a
-// degradation ladder — all-barriers tree first, then progressively smaller
-// launch geometry — until the run succeeds or the ladder is exhausted.
+// injected fault, OOM) escapes as gpusim::LaunchError. run_guarded()
+// wraps any attempt in the graceful-degradation policy of DESIGN.md §11:
+// re-run a failed attempt up to GuardPolicy::max_retries times, then walk
+// a degradation ladder — all-barriers tree first, then progressively
+// smaller launch geometry — until the run succeeds or the ladder is
+// exhausted. execute_guarded() is run_guarded over execute().
 #pragma once
 
 #include <cmath>
@@ -93,7 +94,7 @@ reduce::ReduceResult<T> execute(gpusim::Device& dev, const ExecutionPlan& plan,
   throw std::logic_error("unreachable strategy kind");
 }
 
-/// Retry/fallback policy for execute_guarded().
+/// Retry/fallback policy for run_guarded().
 struct GuardPolicy {
   /// Same-configuration re-runs after a failed attempt before the ladder
   /// degrades the plan.
@@ -122,14 +123,15 @@ struct DegradeEvent {
   std::string action;  ///< "retry", "strip non-sticky faults", rung change…
 };
 
-/// Outcome of a guarded execution. `ok == false` means every rung of the
-/// ladder failed; `error` then holds the last failure (the events list has
-/// the full history either way).
-template <typename T>
-struct GuardedResult {
+/// Outcome of a guarded run whose attempts return R (any result carrying
+/// the attempt's gpusim::LaunchStats as `stats`). `ok == false` means every
+/// rung of the ladder failed; `error` then holds the last failure (the
+/// events list has the full history either way).
+template <typename R>
+struct GuardedRun {
   bool ok = false;
-  reduce::ReduceResult<T> result{};  ///< of the successful attempt
-  ExecutionPlan plan{};              ///< the plan that finally ran
+  R result{};            ///< of the successful attempt
+  ExecutionPlan plan{};  ///< the plan that finally ran
   int attempts = 0;
   bool recovered = false;  ///< succeeded after at least one failure
   bool degraded = false;   ///< succeeded on a degraded rung
@@ -144,6 +146,9 @@ struct GuardedResult {
   std::vector<gpusim::FaultEvent> fault_events;
 };
 
+template <typename T>
+using GuardedResult = GuardedRun<reduce::ReduceResult<T>>;
+
 namespace detail {
 
 /// FaultKind a thrown injected error corresponds to (only warp_abort and
@@ -154,10 +159,33 @@ inline gpusim::FaultKind fault_kind_of(gpusim::LaunchErrorCode code) {
              : gpusim::FaultKind::kWarpAbort;
 }
 
+/// A non-finite floating scalar fails the guard unconditionally; results
+/// without a scalar observable have nothing to check.
+template <typename R>
+bool non_finite_scalar(const R&) {
+  return false;
+}
+template <typename T>
+bool non_finite_scalar(const reduce::ReduceResult<T>& r) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return r.scalar && !std::isfinite(*r.scalar);
+  } else {
+    return false;
+  }
+}
+
 }  // namespace detail
 
-/// Run `plan` under the graceful-degradation policy. `verify` (optional)
-/// is the numeric guard: it sees the completed result and returns false —
+/// Run `attempt` under the graceful-degradation policy. This is the one
+/// place a failed attempt is handled: it arms the plan's faults for each
+/// attempt (the device's alloc_fail arms included, so allocations the
+/// attempt makes itself follow the same ladder as a kernel's scratch
+/// buffers), strips non-sticky faults, retries, honours cancellation and
+/// the attempt budget, walks the degradation rungs, and caps the fault
+/// events it collects. `attempt` runs the plan it is handed (the rung's
+/// plan, faults normalized into its SimOptions); any device-side failure
+/// may escape it as gpusim::LaunchError. `verify` (optional) is the
+/// numeric guard: it sees the completed result and returns false —
 /// filling `detail` — when the values are unacceptable (the testsuite
 /// runner passes its sequential-reference check here). A non-finite
 /// floating scalar fails the guard unconditionally. Failed attempts walk:
@@ -169,13 +197,12 @@ inline gpusim::FaultKind fault_kind_of(gpusim::LaunchErrorCode code) {
 ///   rung 2+ halve vector_length (floor 32), then num_workers (floor 1)
 ///
 /// Never throws LaunchError: terminal failure comes back in the result.
-template <typename T>
-GuardedResult<T> execute_guarded(
-    gpusim::Device& dev, ExecutionPlan plan, const reduce::Bindings<T>& b,
-    const GuardPolicy& policy = {},
-    const std::function<bool(const reduce::ReduceResult<T>&, std::string&)>&
-        verify = {}) {
-  GuardedResult<T> out;
+template <typename R>
+GuardedRun<R> run_guarded(
+    gpusim::Device& dev, ExecutionPlan plan, const GuardPolicy& policy,
+    const std::function<R(const ExecutionPlan&)>& attempt,
+    const std::function<bool(const R&, std::string&)>& verify = {}) {
+  GuardedRun<R> out;
   gpusim::SimOptions& sim = plan.strategy.sim;
 
   // Normalize the fault source to one spec string so retry stripping works
@@ -193,6 +220,14 @@ GuardedResult<T> execute_guarded(
     return policy.degrade &&
            (policy.max_degrade_rungs < 0 || rung < policy.max_degrade_rungs);
   };
+  const auto append_events = [&out](std::vector<gpusim::FaultEvent> evs) {
+    for (gpusim::FaultEvent& e : evs) {
+      if (out.fault_events.size() >= gpusim::BlockFaults::kMaxEventsPerLaunch) {
+        break;
+      }
+      out.fault_events.push_back(std::move(e));
+    }
+  };
   for (;;) {
     ++out.attempts;
     gpusim::FaultPlan faults;
@@ -207,27 +242,15 @@ GuardedResult<T> execute_guarded(
       dev.clear_alloc_faults();
     }
 
-    const auto append_events = [&](std::vector<gpusim::FaultEvent> evs) {
-      for (gpusim::FaultEvent& e : evs) {
-        if (out.fault_events.size() >=
-            gpusim::BlockFaults::kMaxEventsPerLaunch) {
-          break;
-        }
-        out.fault_events.push_back(std::move(e));
-      }
-    };
-
     gpusim::LaunchErrorInfo fail;
     try {
-      reduce::ReduceResult<T> res = execute<T>(dev, plan, b);
+      R res = attempt(plan);
       append_events(std::move(res.stats.fault_events));
       std::string detail;
       bool good = true;
-      if constexpr (std::is_floating_point_v<T>) {
-        if (res.scalar && !std::isfinite(*res.scalar)) {
-          good = false;
-          detail = "non-finite scalar result";
-        }
+      if (detail::non_finite_scalar(res)) {
+        good = false;
+        detail = "non-finite scalar result";
       }
       if (good && verify && !verify(res, detail)) good = false;
       if (good) {
@@ -279,55 +302,41 @@ GuardedResult<T> execute_guarded(
     // response to a failure with faults armed: the injector is
     // deterministic, so an unmodified retry would fail identically.
     const std::string sticky = faults.sticky_spec();
+    const auto descend = [&](std::string action) {
+      ev.action = std::move(action);
+      out.degraded = true;
+      failures_on_rung = 0;
+      ++rung;
+    };
+    const char* give_up = nullptr;
     if (fail.code == gpusim::LaunchErrorCode::kCancelled) {
-      ev.action = "cancelled: give up";
-      out.events.push_back(std::move(ev));
-      out.plan = plan;
-      out.error = std::move(fail);
-      out.degraded = false;
-      dev.clear_alloc_faults();
-      return out;
-    }
-    if (policy.max_total_attempts > 0 &&
-        out.attempts >= policy.max_total_attempts) {
-      ev.action = "attempt budget exhausted: give up";
-      out.events.push_back(std::move(ev));
-      out.plan = plan;
-      out.error = std::move(fail);
-      out.degraded = false;
-      dev.clear_alloc_faults();
-      return out;
-    }
-    if (out.attempts == 1 && sticky != spec) {
+      give_up = "cancelled: give up";
+    } else if (policy.max_total_attempts > 0 &&
+               out.attempts >= policy.max_total_attempts) {
+      give_up = "attempt budget exhausted: give up";
+    } else if (out.attempts == 1 && sticky != spec) {
       spec = sticky;
       ev.action = "strip non-sticky faults and retry";
     } else if (failures_on_rung <= policy.max_retries) {
       ev.action = "retry";
     } else if (may_degrade() && plan.strategy.tree.unroll_last_warp) {
       plan.strategy.tree.unroll_last_warp = false;
-      out.degraded = true;
-      failures_on_rung = 0;
-      ++rung;
-      ev.action = "degrade: all-barriers tree (unroll_last_warp off)";
+      descend("degrade: all-barriers tree (unroll_last_warp off)");
     } else if (may_degrade() && plan.launch.vector_length > 32) {
       const std::uint32_t prev = plan.launch.vector_length;
       plan.launch.vector_length = prev / 2;
-      out.degraded = true;
-      failures_on_rung = 0;
-      ++rung;
-      ev.action = "degrade: vector_length " + std::to_string(prev) + " -> " +
-                  std::to_string(plan.launch.vector_length);
+      descend("degrade: vector_length " + std::to_string(prev) + " -> " +
+              std::to_string(plan.launch.vector_length));
     } else if (may_degrade() && plan.launch.num_workers > 1) {
       const std::uint32_t prev = plan.launch.num_workers;
       plan.launch.num_workers = prev / 2;
-      out.degraded = true;
-      failures_on_rung = 0;
-      ++rung;
-      ev.action = "degrade: num_workers " + std::to_string(prev) + " -> " +
-                  std::to_string(plan.launch.num_workers);
+      descend("degrade: num_workers " + std::to_string(prev) + " -> " +
+              std::to_string(plan.launch.num_workers));
     } else {
-      // Ladder exhausted.
-      ev.action = "give up";
+      give_up = "give up";  // ladder exhausted
+    }
+    if (give_up != nullptr) {
+      ev.action = give_up;
       out.events.push_back(std::move(ev));
       out.plan = plan;  // the bottom rung: what the last attempt ran
       out.error = std::move(fail);
@@ -343,6 +352,19 @@ GuardedResult<T> execute_guarded(
     }
     out.events.push_back(std::move(ev));
   }
+}
+
+/// run_guarded over the plan's own strategy kernel (execute<T>).
+template <typename T>
+GuardedResult<T> execute_guarded(
+    gpusim::Device& dev, ExecutionPlan plan, const reduce::Bindings<T>& b,
+    const GuardPolicy& policy = {},
+    const std::function<bool(const reduce::ReduceResult<T>&, std::string&)>&
+        verify = {}) {
+  return run_guarded<reduce::ReduceResult<T>>(
+      dev, std::move(plan), policy,
+      [&dev, &b](const ExecutionPlan& p) { return execute<T>(dev, p, b); },
+      verify);
 }
 
 }  // namespace accred::acc

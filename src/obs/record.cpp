@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -236,5 +237,29 @@ bool Session::finish() {
 }
 
 Session::~Session() { finish(); }
+
+std::optional<Json> load_record(const std::string& path,
+                                std::string_view tool) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << tool << ": cannot read " << path << '\n';
+    return std::nullopt;
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  try {
+    Json j = Json::parse(buf.str());
+    if (const Json* schema = j.find("schema");
+        schema == nullptr || schema->as_string() != kBenchSchema) {
+      std::cerr << tool << ": " << path << " is not an " << kBenchSchema
+                << " record\n";
+      return std::nullopt;
+    }
+    return j;
+  } catch (const std::exception& ex) {
+    std::cerr << tool << ": " << path << ": " << ex.what() << '\n';
+    return std::nullopt;
+  }
+}
 
 }  // namespace accred::obs

@@ -19,6 +19,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpusim/cost_model.hpp"
@@ -118,6 +119,13 @@ private:
   Json meta_ = Json::object();
   std::vector<BenchEntry> entries_;
 };
+
+/// Read, parse and schema-check an accred.bench record file for the report
+/// tool `tool`. On failure prints one line to stderr — "<tool>: cannot
+/// read <path>", "<tool>: <path>: <parse error>", or "<tool>: <path> is
+/// not an accred.bench record" — and returns nullopt (the tools' exit 2).
+[[nodiscard]] std::optional<Json> load_record(const std::string& path,
+                                              std::string_view tool);
 
 /// Per-executable observability session: reads `--json FILE` and
 /// `--trace FILE` (falling back to the ACCRED_TRACE env var) from the

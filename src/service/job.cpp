@@ -27,8 +27,8 @@ testsuite::RunnerOptions runner_options(const JobSpec& job) {
   opts.config = job.config;
   opts.sim_threads = job.sim_threads;
   opts.faults = job.faults;
-  opts.max_retries = job.max_retries;
-  opts.degrade = job.degrade;
+  opts.guard.max_retries = job.max_retries;
+  opts.guard.degrade = job.degrade;
   opts.cancel = job.cancel;
   return opts;
 }

@@ -12,7 +12,7 @@
 //     more, and never starves the others;
 //   * planning goes through the PlanCache (plan_cache.hpp), so repeat
 //     traffic skips the source -> parse -> analyze -> plan pipeline;
-//   * every job executes under acc::execute_guarded on its own simulated
+//   * every job executes under acc::run_guarded on its own simulated
 //     Device, so one tenant's injected faults degrade that tenant's job
 //     only — sibling results are bit-identical with or without the
 //     neighbor's campaign (tests/service/test_service.cpp).
@@ -66,7 +66,7 @@ struct ServiceConfig {
   /// Per-tenant circuit breaker: consecutive structured failures (ladder
   /// exhausted / planning failed) that trip the tenant's breaker open, so
   /// its submissions fast-fail with kCircuitOpen instead of burning
-  /// execute_guarded retries. 0 = breaker off. Failure counts advance at
+  /// run_guarded retries. 0 = breaker off. Failure counts advance at
   /// the virtual-timeline cursor (admission order), so trips are
   /// bit-deterministic for any worker count.
   std::uint32_t breaker_threshold = 0;

@@ -120,6 +120,23 @@ void Report::print_verification(std::ostream& os) const {
   }
 }
 
+void outcome_attrs(obs::BenchEntry& e, const CaseOutcome& outcome) {
+  e.attr("verified", outcome.verified ? "yes" : "NO");
+  if (!outcome.detail.empty()) e.attr("detail", outcome.detail);
+  // Degradation history: all conditional, so clean baseline records stay
+  // bit-identical to pre-fault-campaign ones.
+  if (outcome.recovered) e.attr("recovered", "yes");
+  if (outcome.degraded) e.attr("degraded", "yes");
+  if (!outcome.events.empty()) {
+    std::string joined;
+    for (const std::string& ev : outcome.events) {
+      if (!joined.empty()) joined += " | ";
+      joined += ev;
+    }
+    e.attr("events", joined);
+  }
+}
+
 void Report::to_record(obs::RunRecord& rec) const {
   struct Tally {
     int passed = 0;
@@ -145,7 +162,6 @@ void Report::to_record(obs::RunRecord& rec) const {
       continue;
     }
     e.attr("status", "ok");
-    e.attr("verified", outcome.verified ? "yes" : "NO");
     if (outcome.verified) {
       t.passed += 1;
     } else {
@@ -155,21 +171,9 @@ void Report::to_record(obs::RunRecord& rec) const {
     e.metric("kernels", outcome.kernels);
     e.metric("wall_ms", outcome.wall_ms);
     e.stats(outcome.stats);
-    if (!outcome.detail.empty()) e.attr("detail", outcome.detail);
-    // Degradation history: all conditional, so clean baseline records stay
-    // bit-identical to pre-fault-campaign ones.
+    outcome_attrs(e, outcome);
     if (outcome.attempts > 1) {
       e.metric("attempts", outcome.attempts);
-    }
-    if (outcome.recovered) e.attr("recovered", "yes");
-    if (outcome.degraded) e.attr("degraded", "yes");
-    if (!outcome.events.empty()) {
-      std::string joined;
-      for (const std::string& ev : outcome.events) {
-        if (!joined.empty()) joined += " | ";
-        joined += ev;
-      }
-      e.attr("events", joined);
     }
   }
   for (const auto& [id, t] : tally) {

@@ -1,12 +1,12 @@
 #include "testsuite/runner.hpp"
 
 #include <chrono>
+#include <functional>
 #include <sstream>
 #include <utility>
 
 #include "acc/executor.hpp"
 #include "gpusim/error.hpp"
-#include "gpusim/faultinject.hpp"
 #include "reduce/argminmax.hpp"
 #include "reduce/segmented_reduce.hpp"
 #include "testsuite/values.hpp"
@@ -83,119 +83,80 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   return h;
 }
 
-template <typename T>
-CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
-                      const RunnerOptions& opts,
-                      const acc::ExecutionPlan* preplanned,
-                      bool apply_robustness = true) {
-  CaseOutcome out;
-  if (apply_robustness) {
-    out.status = table2_robustness(id, spec.pos, spec.op, spec.type);
-    if (out.status != acc::Robustness::kOk) return out;
-  }
+using Clock = std::chrono::steady_clock;
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
+/// Buckets of a segmented extended-kind cell (element i -> i % kSegments).
+constexpr std::size_t kSegments = 64;
 
-  const CaseGeometry geo = case_geometry(spec.pos, opts.reduction_extent);
-  const acc::CompilerProfile& prof = acc::profile(id);
-  acc::ExecutionPlan plan;
-  if (preplanned != nullptr) {
-    plan = *preplanned;  // e.g. a service plan-cache hit
+/// The runner's simulator knobs, laid over a strategy's SimOptions.
+void apply_sim_options(gpusim::SimOptions& sim, const RunnerOptions& opts) {
+  if (opts.sim_threads != 0) sim.sim_threads = opts.sim_threads;
+  if (opts.racecheck) sim.racecheck = true;
+  if (opts.error_on_race) sim.error_on_race = true;
+  sim.max_steps = opts.max_steps;
+  sim.faults = opts.faults;
+  sim.cancel_token = opts.cancel;
+}
+
+/// Run a cell's attempts under acc::run_guarded and fold the run into
+/// `out`. `setup` accumulates, while the attempts run, the time they spend
+/// allocating the runner's buffers and synthesizing input; it is kept out
+/// of wall_ms, which covers the guarded kernel attempts only.
+template <typename R>
+acc::GuardedRun<R> run_cell(
+    CaseOutcome& out, gpusim::Device& dev, const acc::ExecutionPlan& plan,
+    const acc::GuardPolicy& policy,
+    const std::function<R(const acc::ExecutionPlan&)>& attempt,
+    const std::function<bool(const R&, std::string&)>& verify,
+    const Clock::duration& setup) {
+  const auto t0 = Clock::now();
+  acc::GuardedRun<R> run =
+      acc::run_guarded<R>(dev, plan, policy, attempt, verify);
+  out.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0 -
+                                                          setup)
+                    .count();
+  out.attempts = run.attempts;
+  out.recovered = run.recovered;
+  out.degraded = run.degraded;
+  for (const acc::DegradeEvent& ev : run.events) {
+    out.events.push_back("attempt " + std::to_string(ev.attempt) + " (rung " +
+                         std::to_string(ev.rung) + ", failure " +
+                         std::to_string(ev.failure_on_rung) +
+                         ") failed: " + ev.reason + " -> " + ev.action);
+  }
+  if (run.ok) {
+    out.stats = run.result.stats;
+    out.kernels = run.result.kernels;
+    out.device_ms = run.result.stats.device_time_ns / 1e6;
+    out.verified = true;
   } else {
-    const acc::NestIR nest = build_nest(spec.pos, spec.op, spec.type, geo,
-                                        opts.config, prof.discipline);
-    plan = acc::plan_single(nest, prof);
+    out.stats.error = run.error;
+    out.detail = to_string(run.error);
   }
-  if (opts.sim_threads != 0) {
-    plan.strategy.sim.sim_threads = opts.sim_threads;
-  }
-  if (opts.racecheck) plan.strategy.sim.racecheck = true;
-  if (opts.error_on_race) plan.strategy.sim.error_on_race = true;
-  plan.strategy.sim.max_steps = opts.max_steps;
-  plan.strategy.sim.faults = opts.faults;
-  plan.strategy.sim.cancel_token = opts.cancel;
+  // The aggregate over every attempt, not just the last launch: failed
+  // attempts' fired faults belong in the record too.
+  out.stats.faults_armed = run.faults_armed;
+  out.stats.fault_events = std::move(run.fault_events);
+  return run;
+}
 
-  gpusim::Device dev(opts.device_limits);
-  // Arm injected allocation failures on the runner's own buffers too; each
-  // arm is one-shot (device.hpp), so the retry loop below recovers.
-  const std::string fault_spec =
-      !opts.faults.empty() ? opts.faults : gpusim::faults_env_default();
-  if (!fault_spec.empty()) {
-    const auto fplan = gpusim::FaultPlan::parse(fault_spec);
-    if (fplan.has_alloc_faults()) dev.arm_alloc_faults(fplan);
-  }
-  const bool same_loop = spec.pos == Position::kSameLineGangWorkerVector;
-  const std::size_t volume = static_cast<std::size_t>(
-      same_loop ? geo.same_loop_extent
-                : geo.dims.nk * geo.dims.nj * geo.dims.ni);
-
-  const bool copy_work = opts.parallel_work && !same_loop;
-  // Per-instance output slots for the vector / worker positions.
-  const std::size_t out_slots =
-      spec.pos == Position::kVector
-          ? static_cast<std::size_t>(geo.dims.nk * geo.dims.nj)
-          : (spec.pos == Position::kWorker ||
-                     spec.pos == Position::kWorkerVector
-                 ? static_cast<std::size_t>(geo.dims.nk)
-                 : 1);
-
-  // The runner's own allocations, behind the same retry policy as the
-  // kernels: an injected alloc_fail arm is one-shot, so re-running the
-  // block recovers (the failed attempt is recorded like any other).
-  gpusim::DeviceBuffer<T> input;
-  gpusim::DeviceBuffer<T> temp;
-  gpusim::DeviceBuffer<T> result_buf;
-  int alloc_failures = 0;
-  std::vector<gpusim::FaultEvent> alloc_events;
-  for (;;) {
-    try {
-      input = dev.alloc<T>(volume, "input");
-      if (copy_work) temp = dev.alloc<T>(volume, "temp");
-      result_buf = dev.alloc<T>(out_slots, "result");
-      break;
-    } catch (const gpusim::LaunchError& e) {
-      ++alloc_failures;
-      out.events.push_back("attempt " + std::to_string(alloc_failures) +
-                           " failed: " + to_string(e.info()) +
-                           " -> retry allocation");
-      // An injected alloc_fail fires outside any launch, so the campaign
-      // accounting gets its FaultEvent synthesized here.
-      if (e.info().injected) {
-        gpusim::FaultEvent fe;
-        fe.kind = gpusim::FaultKind::kAllocFail;
-        fe.stage = e.info().stage;
-        fe.detail = e.info().message;
-        alloc_events.push_back(std::move(fe));
-      }
-      if (alloc_failures > opts.max_retries) {
-        out.attempts = alloc_failures;
-        out.stats.error = e.info();
-        out.stats.faults_armed = !fault_spec.empty();
-        out.stats.fault_events = std::move(alloc_events);
-        out.detail = to_string(e.info());
-        return out;
-      }
-    }
-  }
-  {
-    auto host = input.host_span();
-    for (std::size_t i = 0; i < volume; ++i) {
-      host[i] = testsuite_value<T>(spec.op, i);
-    }
-  }
-  auto in_view = input.view();
-  gpusim::GlobalView<T> temp_view{};
-  if (copy_work) temp_view = temp.view();
-  auto out_view = result_buf.view();
-
-  const auto [nk, nj, ni] = geo.dims;
+/// Loop-body bindings of a scalar cell over the runner's buffers.
+template <typename T>
+reduce::Bindings<T> bindings_for(Position pos, const reduce::Nest3& dims,
+                                 gpusim::GlobalView<T> in_view,
+                                 const gpusim::DeviceBuffer<T>* temp,
+                                 gpusim::GlobalView<T> out_view) {
+  const auto [nk, nj, ni] = dims;
   reduce::Bindings<T> b;
-  if (copy_work) {
+  if (temp != nullptr) {
+    const auto temp_view = temp->view();
     b.parallel_work = [=](gpusim::ThreadCtx& ctx, std::int64_t k,
                           std::int64_t j, std::int64_t i) {
       const auto idx = static_cast<std::size_t>((k * nj + j) * ni + i);
       ctx.st(temp_view, idx, ctx.ld(in_view, idx));
     };
   }
-  switch (spec.pos) {
+  switch (pos) {
     case Position::kGang:
       b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t,
                       std::int64_t) {
@@ -225,34 +186,111 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
       };
       break;
   }
-  if (spec.pos == Position::kVector) {
+  if (pos == Position::kVector) {
     b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
                  T r) {
       ctx.st(out_view, static_cast<std::size_t>(k * nj + j), r);
     };
-  } else if (spec.pos == Position::kWorker ||
-             spec.pos == Position::kWorkerVector) {
+  } else if (pos == Position::kWorker || pos == Position::kWorkerVector) {
     // Both positions produce one result per gang (k) instance.
     b.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t, T r) {
       ctx.st(out_view, static_cast<std::size_t>(k), r);
     };
   }
+  return b;
+}
+
+/// Allocate `buf` unless an earlier attempt already did (an allocated
+/// buffer never sits at vaddr 0); true when this call allocated it.
+template <typename T>
+bool ensure_buffer(gpusim::Device& dev, gpusim::DeviceBuffer<T>& buf,
+                   std::size_t n, std::string_view label) {
+  if (buf.vaddr() != 0) return false;
+  buf = dev.alloc<T>(n, label);
+  return true;
+}
+
+template <typename T>
+CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
+                      const RunnerOptions& opts,
+                      const acc::ExecutionPlan* preplanned,
+                      bool apply_robustness = true) {
+  CaseOutcome out;
+  if (apply_robustness) {
+    out.status = table2_robustness(id, spec.pos, spec.op, spec.type);
+    if (out.status != acc::Robustness::kOk) return out;
+  }
+
+  const CaseGeometry geo = case_geometry(spec.pos, opts.reduction_extent);
+  const acc::CompilerProfile& prof = acc::profile(id);
+  acc::ExecutionPlan plan;
+  if (preplanned != nullptr) {
+    plan = *preplanned;  // e.g. a service plan-cache hit
+  } else {
+    const acc::NestIR nest = build_nest(spec.pos, spec.op, spec.type, geo,
+                                        opts.config, prof.discipline);
+    plan = acc::plan_single(nest, prof);
+  }
+  apply_sim_options(plan.strategy.sim, opts);
+
+  gpusim::Device dev(opts.device_limits);
+  const bool same_loop = spec.pos == Position::kSameLineGangWorkerVector;
+  const std::size_t volume = static_cast<std::size_t>(
+      same_loop ? geo.same_loop_extent
+                : geo.dims.nk * geo.dims.nj * geo.dims.ni);
+
+  const bool copy_work = opts.parallel_work && !same_loop;
+  // Per-instance output slots for the vector / worker positions.
+  const std::size_t out_slots =
+      spec.pos == Position::kVector
+          ? static_cast<std::size_t>(geo.dims.nk * geo.dims.nj)
+          : (spec.pos == Position::kWorker ||
+                     spec.pos == Position::kWorkerVector
+                 ? static_cast<std::size_t>(geo.dims.nk)
+                 : 1);
+
+  // The runner's own buffers are allocated inside the guarded attempt, so
+  // an injected alloc_fail on them walks the same ladder as one on a
+  // kernel's scratch buffer. Each is allocated once and kept across
+  // attempts; the bindings are built once all of them exist.
+  gpusim::DeviceBuffer<T> input;
+  gpusim::DeviceBuffer<T> temp;
+  gpusim::DeviceBuffer<T> result_buf;
+  reduce::Bindings<T> b;
+  Clock::duration setup{};
+  const auto attempt = [&](const acc::ExecutionPlan& p) {
+    if (!b.contrib) {
+      const auto s0 = Clock::now();
+      if (ensure_buffer(dev, input, volume, "input")) {
+        auto host = input.host_span();
+        for (std::size_t i = 0; i < volume; ++i) {
+          host[i] = testsuite_value<T>(spec.op, i);
+        }
+      }
+      if (copy_work) ensure_buffer(dev, temp, volume, "temp");
+      ensure_buffer(dev, result_buf, out_slots, "result");
+      b = bindings_for<T>(spec.pos, geo.dims, input.view(),
+                          copy_work ? &temp : nullptr, result_buf.view());
+      setup += Clock::now() - s0;
+    }
+    return acc::execute<T>(dev, p, b);
+  };
 
   // ---- Verification against the sequential CPU fold ----------------
-  // Runs as execute_guarded's numeric guard after every attempt: a
-  // mismatch (e.g. an injected bitflip's silent corruption) fails the
-  // attempt and drives the retry/degradation ladder instead of merely
-  // flagging the cell. float references accumulate in double: past ~2^24
-  // elements a float running sum rounds away every addend, so the
-  // *reference* would be the wrong side of the comparison (the device's
-  // tree is far more accurate). Bitwise operators never reach here with
-  // floating T.
+  // Runs as run_guarded's numeric guard after every attempt: a mismatch
+  // (e.g. an injected bitflip's silent corruption) fails the attempt and
+  // drives the retry/degradation ladder instead of merely flagging the
+  // cell. float references accumulate in double: past ~2^24 elements a
+  // float running sum rounds away every addend, so the *reference* would
+  // be the wrong side of the comparison (the device's tree is far more
+  // accurate). Bitwise operators never reach here with floating T.
+  const auto [nk, nj, ni] = geo.dims;
   using Acc = std::conditional_t<std::is_same_v<T, float>, double, T>;
   const acc::RuntimeOp<Acc> rop_acc{spec.op};
   const acc::RuntimeOp<T> rop{spec.op};
-  const auto host_in = input.host_span();
   auto fold_strided = [&](std::size_t base, std::size_t stride,
                           std::size_t count) {
+    const auto host_in = input.host_span();
     Acc acc_v = rop_acc.identity();
     for (std::size_t i = 0; i < count; ++i) {
       acc_v = rop_acc.apply(acc_v, static_cast<Acc>(host_in[base + i * stride]));
@@ -321,6 +359,7 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
 
     // Spot-check the parallel copy actually happened.
     if (copy_work && volume > 0) {
+      const auto host_in = input.host_span();
       const auto host_temp = temp.host_span();
       for (std::size_t s = 0; s < 997 && s < volume; ++s) {
         const std::size_t idx = (s * 104729) % volume;
@@ -335,36 +374,13 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
     return ok;
   };
 
-  acc::GuardPolicy policy;
-  policy.max_retries = opts.max_retries;
-  policy.degrade = opts.degrade;
-  policy.max_degrade_rungs = opts.max_degrade_rungs;
-  policy.max_total_attempts = opts.max_total_attempts;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  auto guarded = acc::execute_guarded<T>(dev, plan, b, policy, verify);
-  const auto t1 = std::chrono::steady_clock::now();
-
-  out.attempts = alloc_failures + guarded.attempts;
-  out.recovered = guarded.ok && out.attempts > 1;
-  out.degraded = guarded.degraded;
-  for (const acc::DegradeEvent& ev : guarded.events) {
-    out.events.push_back("attempt " + std::to_string(alloc_failures +
-                                                     ev.attempt) +
-                         " (rung " + std::to_string(ev.rung) + ", failure " +
-                         std::to_string(ev.failure_on_rung) +
-                         ") failed: " + ev.reason + " -> " + ev.action);
-  }
-  out.wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  if (guarded.ok) {
-    out.stats = guarded.result.stats;
-    out.kernels = guarded.result.kernels;
-    out.device_ms = guarded.result.stats.device_time_ns / 1e6;
-    out.verified = true;
-    std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-    if (guarded.result.scalar.has_value()) {
-      const T v = *guarded.result.scalar;
+  const auto run = run_cell<reduce::ReduceResult<T>>(out, dev, plan,
+                                                     opts.guard, attempt,
+                                                     verify, setup);
+  if (run.ok) {
+    std::uint64_t h = kFnvBasis;
+    if (run.result.scalar.has_value()) {
+      const T v = *run.result.scalar;
       h = fnv1a(h, &v, sizeof v);
     }
     if (out_slots > 1) {
@@ -372,25 +388,13 @@ CaseOutcome run_typed(acc::CompilerId id, const CaseSpec& spec,
       h = fnv1a(h, span.data(), span.size() * sizeof(T));
     }
     out.result_hash = h;
-  } else {
-    out.stats.error = guarded.error;
-    out.detail = to_string(guarded.error);
   }
-  // The aggregate over every attempt, not just the last launch: failed
-  // attempts' fired faults (and the runner's own injected allocation
-  // failures above) belong in the record too.
-  out.stats.faults_armed = guarded.faults_armed || !alloc_events.empty();
-  for (gpusim::FaultEvent& fe : guarded.fault_events) {
-    if (alloc_events.size() >= gpusim::BlockFaults::kMaxEventsPerLaunch) break;
-    alloc_events.push_back(std::move(fe));
-  }
-  out.stats.fault_events = std::move(alloc_events);
   return out;
 }
 
-/// Extended-kind cells that do not go through execute_guarded (the
-/// loc/segmented pipelines have no plan to degrade): same fault-arming,
-/// verification-as-guard and retry treatment, minus the geometry rungs.
+/// Extended-kind cells: the loc / segmented pipelines run under the same
+/// guarded attempt loop with verification as the guard, but on rung 0
+/// only — they have no plan to degrade.
 template <typename T>
 CaseOutcome run_ext_typed(acc::CompilerId id, const ExtSpec& spec,
                           const RunnerOptions& opts) {
@@ -408,18 +412,15 @@ CaseOutcome run_ext_typed(acc::CompilerId id, const ExtSpec& spec,
     return run_typed<T>(id, scalar, opts, &plan, /*apply_robustness=*/false);
   }
 
-  CaseOutcome out;
-  const acc::CompilerProfile& prof = acc::profile(id);
-  reduce::StrategyConfig sc = prof.strategy;
-  if (opts.sim_threads != 0) sc.sim.sim_threads = opts.sim_threads;
-  if (opts.racecheck) sc.sim.racecheck = true;
-  if (opts.error_on_race) sc.sim.error_on_race = true;
-  sc.sim.max_steps = opts.max_steps;
-  sc.sim.cancel_token = opts.cancel;
+  // Only the strategy configuration rides along in the plan.
+  acc::ExecutionPlan plan;
+  plan.strategy = acc::profile(id).strategy;
+  apply_sim_options(plan.strategy.sim, opts);
+  acc::GuardPolicy policy = opts.guard;
+  policy.degrade = false;
 
   const std::int64_t extent = opts.reduction_extent;
   const auto volume = static_cast<std::size_t>(extent);
-  constexpr std::size_t kSegments = 64;
   const bool want_min = spec.kind == ExtKind::kArgMin;
   const acc::ReductionOp value_op = spec.kind == ExtKind::kSegmented
                                         ? acc::ReductionOp::kSum
@@ -427,192 +428,102 @@ CaseOutcome run_ext_typed(acc::CompilerId id, const ExtSpec& spec,
                                                     : acc::ReductionOp::kMax);
 
   gpusim::Device dev(opts.device_limits);
-  std::string fspec =
-      !opts.faults.empty() ? opts.faults : gpusim::faults_env_default();
-
-  std::vector<gpusim::FaultEvent> fault_events;
-  const auto append_events = [&](std::vector<gpusim::FaultEvent> evs) {
-    for (gpusim::FaultEvent& e : evs) {
-      if (fault_events.size() >= gpusim::BlockFaults::kMaxEventsPerLaunch) {
-        break;
+  gpusim::DeviceBuffer<T> input;
+  Clock::duration setup{};
+  // Allocates and synthesizes the input on the first attempt that gets
+  // that far; returns the per-element load the kernels run.
+  const auto load_input = [&] {
+    const auto s0 = Clock::now();
+    if (ensure_buffer(dev, input, volume, "input")) {
+      auto host = input.host_span();
+      for (std::size_t i = 0; i < volume; ++i) {
+        host[i] = testsuite_value<T>(value_op, i);
       }
-      fault_events.push_back(std::move(e));
     }
+    setup += Clock::now() - s0;
+    const auto in_view = input.view();
+    return [in_view](gpusim::ThreadCtx& ctx, std::int64_t idx) {
+      return ctx.ld(in_view, static_cast<std::size_t>(idx));
+    };
   };
 
-  int failures = 0;
-  out.attempts = 0;  // pre-incremented per attempt below
-  const auto t0 = std::chrono::steady_clock::now();
-  for (;;) {
-    ++out.attempts;
-    gpusim::FaultPlan fplan;
-    if (!fspec.empty()) fplan = gpusim::FaultPlan::parse(fspec);
-    out.stats.faults_armed = out.stats.faults_armed || !fplan.empty();
-    sc.sim.faults = fspec;
-    if (fplan.has_alloc_faults()) {
-      dev.arm_alloc_faults(fplan);
-    } else {
-      dev.clear_alloc_faults();
-    }
-
-    std::string fail_reason;
-    try {
-      auto input = dev.alloc<T>(volume, "input");
-      {
-        auto host = input.host_span();
-        for (std::size_t i = 0; i < volume; ++i) {
-          host[i] = testsuite_value<T>(value_op, i);
-        }
-      }
-      auto in_view = input.view();
-      const auto value_at = [=](gpusim::ThreadCtx& ctx, std::int64_t idx) {
-        return ctx.ld(in_view, static_cast<std::size_t>(idx));
-      };
-      const auto host_in = input.host_span();
-
-      std::ostringstream why;
-      bool ok = true;
-      gpusim::LaunchStats stats;
-      int kernels = 0;
-      std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-
-      if (spec.kind == ExtKind::kSegmented) {
-        auto res = reduce::run_segmented_reduction<T>(
-            dev, extent, kSegments, opts.config, value_op,
-            [](std::int64_t idx) {
-              return static_cast<std::size_t>(idx) % kSegments;
-            },
-            value_at, sc);
-        stats = res.stats;
-        kernels = res.kernels;
-        // Per-segment sequential reference (float refs in double, as the
-        // scalar grid does).
-        using Acc = std::conditional_t<std::is_same_v<T, float>, double, T>;
-        const acc::RuntimeOp<Acc> rop{value_op};
-        for (std::size_t s = 0; s < kSegments; ++s) {
-          Acc ref = rop.identity();
-          for (std::size_t i = s; i < volume; i += kSegments) {
-            ref = rop.apply(ref, static_cast<Acc>(host_in[i]));
+  CaseOutcome out;
+  if (spec.kind == ExtKind::kSegmented) {
+    using Result = reduce::ArrayReduceResult<T>;
+    const auto run = run_cell<Result>(
+        out, dev, plan, policy,
+        [&](const acc::ExecutionPlan& p) {
+          return reduce::run_segmented_reduction<T>(
+              dev, extent, kSegments, opts.config, value_op,
+              [](std::int64_t idx) {
+                return static_cast<std::size_t>(idx) % kSegments;
+              },
+              load_input(), p.strategy);
+        },
+        [&](const Result& res, std::string& why) {
+          // Per-segment sequential reference (float refs in double, as
+          // the scalar grid does).
+          using Acc = std::conditional_t<std::is_same_v<T, float>, double, T>;
+          const acc::RuntimeOp<Acc> rop{value_op};
+          const auto host_in = input.host_span();
+          std::ostringstream detail;
+          for (std::size_t s = 0; s < kSegments; ++s) {
+            Acc ref = rop.identity();
+            for (std::size_t i = s; i < volume; i += kSegments) {
+              ref = rop.apply(ref, static_cast<Acc>(host_in[i]));
+            }
+            if (!reduction_result_matches(static_cast<T>(ref), res.values[s],
+                                          volume / kSegments + 1)) {
+              detail << "segment " << s << ": expected " << static_cast<T>(ref)
+                     << " got " << res.values[s] << "; ";
+            }
           }
-          if (!reduction_result_matches(static_cast<T>(ref), res.values[s],
-                                        volume / kSegments + 1)) {
-            ok = false;
-            why << "segment " << s << ": expected " << static_cast<T>(ref)
-                << " got " << res.values[s] << "; ";
+          why = detail.str();
+          return why.empty();
+        },
+        setup);
+    if (run.ok) {
+      out.result_hash = fnv1a(kFnvBasis, run.result.values.data(),
+                              run.result.values.size() * sizeof(T));
+    }
+  } else {
+    using Result = reduce::PayloadReduceResult<acc::ValueIndex<T>>;
+    const auto run = run_cell<Result>(
+        out, dev, plan, policy,
+        [&](const acc::ExecutionPlan& p) {
+          return reduce::run_arg_reduction<T>(dev, extent, opts.config,
+                                              want_min, load_input(),
+                                              p.strategy);
+        },
+        [&](const Result& res, std::string& why) {
+          // The loc fold is value-comparison only (no rounding), so the
+          // device pair must match the sequential one exactly.
+          const auto host_in = input.host_span();
+          acc::ValueIndex<T> ref = want_min ? acc::ArgMinOp<T>::identity()
+                                            : acc::ArgMaxOp<T>::identity();
+          for (std::size_t i = 0; i < volume; ++i) {
+            const acc::ValueIndex<T> c{host_in[i],
+                                       static_cast<std::int64_t>(i)};
+            ref = want_min ? acc::ArgMinOp<T>{}.apply(ref, c)
+                           : acc::ArgMaxOp<T>{}.apply(ref, c);
           }
-        }
-        h = fnv1a(h, res.values.data(), res.values.size() * sizeof(T));
-      } else {
-        auto res = reduce::run_arg_reduction<T>(dev, extent, opts.config,
-                                                want_min, value_at, sc);
-        stats = res.stats;
-        kernels = res.kernels;
-        // The loc fold is value-comparison only (no rounding), so the
-        // device pair must match the sequential one exactly.
-        acc::ValueIndex<T> ref =
-            want_min ? acc::ArgMinOp<T>::identity()
-                     : acc::ArgMaxOp<T>::identity();
-        for (std::size_t i = 0; i < volume; ++i) {
-          const acc::ValueIndex<T> c{host_in[i],
-                                     static_cast<std::int64_t>(i)};
-          ref = want_min ? acc::ArgMinOp<T>{}.apply(ref, c)
-                         : acc::ArgMaxOp<T>{}.apply(ref, c);
-        }
-        if (!(res.value == ref)) {
-          ok = false;
-          why << "arg pair: expected (" << ref.value << ", " << ref.index
-              << ") got (" << res.value.value << ", " << res.value.index
-              << ")";
-        }
-        h = fnv1a(h, &res.value.value, sizeof(T));
-        h = fnv1a(h, &res.value.index, sizeof res.value.index);
-      }
-
-      append_events(std::move(stats.fault_events));
-      if (ok) {
-        const auto t1 = std::chrono::steady_clock::now();
-        out.stats = stats;
-        out.kernels = kernels;
-        out.device_ms = stats.device_time_ns / 1e6;
-        out.wall_ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        out.verified = true;
-        out.recovered = out.attempts > 1;
-        out.result_hash = h;
-        out.stats.faults_armed =
-            out.stats.faults_armed || !fault_events.empty();
-        out.stats.fault_events = std::move(fault_events);
-        dev.clear_alloc_faults();
-        return out;
-      }
-      fail_reason = why.str();
-    } catch (const gpusim::LaunchError& e) {
-      gpusim::LaunchErrorInfo info = e.info();
-      fail_reason = to_string(info);
-      const bool carried = !info.fired.empty();
-      append_events(std::move(info.fired));
-      if (info.injected && !carried) {
-        gpusim::FaultEvent fe;
-        fe.kind = info.code == gpusim::LaunchErrorCode::kOom
-                      ? gpusim::FaultKind::kAllocFail
-                      : gpusim::FaultKind::kWarpAbort;
-        fe.block = info.block;
-        fe.warp = info.warp;
-        fe.stage = info.stage;
-        fe.detail = info.message;
-        append_events({std::move(fe)});
-      }
-      out.stats.error = e.info();
+          if (res.value == ref) return true;
+          std::ostringstream detail;
+          detail << "arg pair: expected (" << ref.value << ", " << ref.index
+                 << ") got (" << res.value.value << ", " << res.value.index
+                 << ")";
+          why = detail.str();
+          return false;
+        },
+        setup);
+    if (run.ok) {
+      const std::uint64_t h =
+          fnv1a(kFnvBasis, &run.result.value.value, sizeof(T));
+      out.result_hash = fnv1a(h, &run.result.value.index,
+                              sizeof run.result.value.index);
     }
-
-    ++failures;
-    std::string action;
-    const std::string sticky =
-        fspec.empty() ? fspec : gpusim::FaultPlan::parse(fspec).sticky_spec();
-    // Terminal outcomes first, mirroring execute_guarded: a client
-    // cancellation never retries, and a spent attempt budget may not
-    // launch again.
-    if (out.stats.error.code == gpusim::LaunchErrorCode::kCancelled) {
-      out.events.push_back("attempt " + std::to_string(out.attempts) +
-                           " failed: " + fail_reason +
-                           " -> cancelled: give up");
-      out.detail = fail_reason;
-      out.stats.faults_armed =
-          out.stats.faults_armed || !fault_events.empty();
-      out.stats.fault_events = std::move(fault_events);
-      dev.clear_alloc_faults();
-      return out;
-    }
-    if (opts.max_total_attempts > 0 &&
-        out.attempts >= opts.max_total_attempts) {
-      out.events.push_back("attempt " + std::to_string(out.attempts) +
-                           " failed: " + fail_reason +
-                           " -> attempt budget exhausted: give up");
-      out.detail = fail_reason;
-      out.stats.faults_armed =
-          out.stats.faults_armed || !fault_events.empty();
-      out.stats.fault_events = std::move(fault_events);
-      dev.clear_alloc_faults();
-      return out;
-    }
-    if (failures == 1 && sticky != fspec) {
-      fspec = sticky;
-      action = "strip non-sticky faults and retry";
-    } else if (failures <= opts.max_retries) {
-      action = "retry";
-    } else {
-      out.events.push_back("attempt " + std::to_string(out.attempts) +
-                           " failed: " + fail_reason + " -> give up");
-      out.detail = fail_reason;
-      out.stats.faults_armed =
-          out.stats.faults_armed || !fault_events.empty();
-      out.stats.fault_events = std::move(fault_events);
-      dev.clear_alloc_faults();
-      return out;
-    }
-    out.events.push_back("attempt " + std::to_string(out.attempts) +
-                         " failed: " + fail_reason + " -> " + action);
   }
+  return out;
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "acc/executor.hpp"
 #include "acc/planner.hpp"
 #include "acc/profiles.hpp"
 #include "gpusim/cost_model.hpp"
@@ -37,21 +38,13 @@ struct RunnerOptions {
   /// (gpusim/racecheck.hpp); conflicts land in CaseOutcome::stats.
   bool racecheck = false;
   /// Fault-injection spec (gpusim/faultinject.hpp grammar) armed on every
-  /// planned strategy and on the runner's own device allocations; "" = the
-  /// ACCRED_FAULTS env default.
+  /// guarded attempt — the planned strategy and the runner's own device
+  /// allocations; "" = the ACCRED_FAULTS env default.
   std::string faults = {};
-  /// Guarded execution: same-configuration re-runs after a failed attempt
-  /// before the ladder degrades the plan (acc::execute_guarded).
-  int max_retries = 1;
-  /// Walk the degradation ladder (all-barriers tree, then smaller launch
-  /// geometry) after the retries; off = retry only.
-  bool degrade = true;
-  /// Degradation rungs the ladder may descend: -1 = unlimited, 0 = none,
-  /// N = stop after the Nth plan change (GuardPolicy::max_degrade_rungs).
-  int max_degrade_rungs = -1;
-  /// Hard cap on total guarded attempts (0 = unlimited) — the hook the
-  /// service's per-tenant retry budget debits against.
-  int max_total_attempts = 0;
+  /// Retry and degradation policy of the guarded attempts
+  /// (acc::run_guarded). Extended-kind cells other than the fused cascade
+  /// have no plan to degrade and run with `degrade` off.
+  acc::GuardPolicy guard{};
   /// Client cancellation token observed by every kernel this case
   /// launches (gpusim::CancelToken): once cancelled, the run terminates
   /// with a structured kCancelled in CaseOutcome::stats.error and the
@@ -76,7 +69,7 @@ struct CaseOutcome {
   gpusim::LaunchStats stats;
   int kernels = 0;
   std::string detail;  ///< mismatch / error diagnostics
-  int attempts = 1;    ///< executions the guarded run needed (incl. allocs)
+  int attempts = 1;    ///< attempts the guarded run needed
   bool recovered = false;  ///< verified after at least one failed attempt
   bool degraded = false;   ///< verified on a degraded plan
   /// Rendered degradation history ("attempt N failed (code): … -> action"),

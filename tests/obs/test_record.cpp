@@ -169,5 +169,44 @@ TEST(Record, SessionWithoutFlagsWritesNothing) {
   EXPECT_TRUE(session.finish());
 }
 
+/// load_record's stderr line for `path` (nullopt expected).
+std::string load_failure(const std::string& path) {
+  ::testing::internal::CaptureStderr();
+  const std::optional<Json> j = load_record(path, "some_report");
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(j.has_value()) << path;
+  return err;
+}
+
+TEST(Record, LoadRecordReadsAWrittenRecord) {
+  const std::string path = ::testing::TempDir() + "accred_load_ok.json";
+  RunRecord rec("load_bench");
+  rec.entry("row").metric("device_ms", 1.0);
+  ASSERT_TRUE(rec.write(path));
+  const std::optional<Json> j = load_record(path, "some_report");
+  ASSERT_TRUE(j.has_value());
+  EXPECT_EQ(j->at("bench").as_string(), "load_bench");
+  std::remove(path.c_str());
+}
+
+TEST(Record, LoadRecordRejectsUnreadableMalformedAndForeignFiles) {
+  const std::string missing = ::testing::TempDir() + "accred_no_such.json";
+  std::remove(missing.c_str());
+  EXPECT_EQ(load_failure(missing),
+            "some_report: cannot read " + missing + "\n");
+
+  const std::string bad = ::testing::TempDir() + "accred_bad.json";
+  std::ofstream(bad) << "{\"schema\": ";
+  const std::string bad_err = load_failure(bad);
+  EXPECT_EQ(bad_err.rfind("some_report: " + bad + ": ", 0), 0u) << bad_err;
+
+  const std::string foreign = ::testing::TempDir() + "accred_foreign.json";
+  std::ofstream(foreign) << R"({"schema": "other.bench", "entries": []})";
+  EXPECT_EQ(load_failure(foreign),
+            "some_report: " + foreign + " is not an accred.bench record\n");
+  std::remove(bad.c_str());
+  std::remove(foreign.c_str());
+}
+
 }  // namespace
 }  // namespace accred::obs

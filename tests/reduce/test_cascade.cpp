@@ -1,9 +1,11 @@
 // Tests for cascaded reductions (§3.2 / Fig. 4 read as one program):
-// different variables reduced at different levels, each feeding the next.
-#include "reduce/cascade.hpp"
-
+// different variables reduced at different levels, each feeding the next,
+// planned by plan_chained and run as one fused chain (run_fused_chain).
 #include <gtest/gtest.h>
 
+#include "acc/planner.hpp"
+#include "acc/profiles.hpp"
+#include "reduce/fused_cascade.hpp"
 #include "test_support.hpp"
 
 namespace accred::reduce {
@@ -15,6 +17,42 @@ acc::LaunchConfig small_cfg() {
   cfg.num_workers = 4;
   cfg.vector_length = 32;
   return cfg;
+}
+
+/// Per-level operators of a three-level chain.
+struct CascadeOps {
+  acc::ReductionOp vector_op = acc::ReductionOp::kSum;
+  acc::ReductionOp worker_op = acc::ReductionOp::kSum;
+  acc::ReductionOp gang_op = acc::ReductionOp::kSum;
+};
+
+/// The chain a user writes for Fig. 4 — one clause per level, each
+/// variable read by the next level out — lowered by the planner.
+acc::ExecutionPlan plan_cascade(const Nest3& n, const CascadeOps& ops,
+                                acc::DataType type) {
+  acc::NestIR nest;
+  nest.config = small_cfg();
+  nest.loops = {
+      {acc::mask_of(acc::Par::kGang), n.nk, {{ops.gang_op, "sum"}}},
+      {acc::mask_of(acc::Par::kWorker), n.nj, {{ops.worker_op, "j_sum"}}},
+      {acc::mask_of(acc::Par::kVector), n.ni, {{ops.vector_op, "i_sum"}}},
+  };
+  nest.vars = {
+      {"i_sum", type, 2, 1},
+      {"j_sum", type, 1, 0},
+      {"sum", type, 0, acc::VarInfo::kHostUse},
+  };
+  return acc::plan_chained(nest, acc::profile(acc::CompilerId::kOpenUH));
+}
+
+template <typename T>
+ReduceResult<T> run_cascade(gpusim::Device& dev, const Nest3& n,
+                            const CascadeOps& ops,
+                            const FusedChainBindings<T>& b) {
+  const acc::ExecutionPlan plan = plan_cascade(n, ops, acc::data_type_of<T>());
+  EXPECT_EQ(plan.kind, acc::StrategyKind::kFusedCascade);
+  return run_fused_chain<T>(dev, plan.chain, plan.dims, plan.launch, b,
+                            plan.strategy);
 }
 
 /// CPU reference of the full chain.
@@ -49,7 +87,7 @@ void run_case(const Nest3& n, const CascadeOps& ops, bool with_inits) {
   input.copy_from_host(host);
   auto iv = input.view();
 
-  CascadeBindings<T> b;
+  FusedChainBindings<T> b;
   b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
                   std::int64_t i) {
     return ctx.ld(iv, static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
@@ -60,10 +98,10 @@ void run_case(const Nest3& n, const CascadeOps& ops, bool with_inits) {
     };
     b.worker_init = [](std::int64_t k) { return static_cast<T>(k); };
   }
-  b.gang_init = static_cast<T>(5);
-  b.gang_init_set = true;
+  b.host_init = static_cast<T>(5);
+  b.host_init_set = true;
 
-  auto res = run_cascaded_reduction<T>(dev, n, small_cfg(), ops, b);
+  auto res = run_cascade<T>(dev, n, ops, b);
   ASSERT_TRUE(res.scalar.has_value());
   EXPECT_EQ(res.kernels, 2);
   const T expect = reference<T>(n, host, ops, with_inits, static_cast<T>(5));
@@ -122,7 +160,7 @@ TEST(Cascade, SinksObserveIntermediateResults) {
   auto tv = temps.view();
   auto kv = ktemps.view();
 
-  CascadeBindings<int> b;
+  FusedChainBindings<int> b;
   b.contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t j,
                   std::int64_t i) {
     return ctx.ld(iv, static_cast<std::size_t>((k * n.nj + j) * n.ni + i));
@@ -134,11 +172,7 @@ TEST(Cascade, SinksObserveIntermediateResults) {
   b.worker_sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, int r) {
     ctx.st(kv, static_cast<std::size_t>(k), r);
   };
-  auto res = run_cascaded_reduction<int>(
-      dev, n, small_cfg(),
-      CascadeOps{acc::ReductionOp::kSum, acc::ReductionOp::kSum,
-                 acc::ReductionOp::kSum},
-      b);
+  auto res = run_cascade<int>(dev, n, CascadeOps{}, b);
   // temp[k][j] = ni; ktemp[k] = nj*ni; scalar = nk*nj*ni.
   for (int t : temps.host_span()) EXPECT_EQ(t, n.ni);
   for (int t : ktemps.host_span()) EXPECT_EQ(t, n.nj * n.ni);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "reduce/argminmax.hpp"
-#include "reduce/cascade.hpp"
 #include "reduce/gang_reduce.hpp"
 #include "reduce/segmented_reduce.hpp"
 #include "reduce/vector_reduce.hpp"
@@ -48,11 +47,23 @@ std::vector<acc::FusedStage> sum_chain3() {
           {acc::ReductionOp::kSum, acc::Par::kGang, "sum"}};
 }
 
+/// Fig. 4's per-instance initial values (`i_sum = j`, `j_sum = k`) and
+/// the incoming value of the outermost variable (`sum = 5`).
+template <typename T>
+T vector_init(std::int64_t, std::int64_t j) {
+  return static_cast<T>(j);
+}
+template <typename T>
+T worker_init(std::int64_t k) {
+  return static_cast<T>(k);
+}
+constexpr int kHostInit = 5;
+
 /// The unfused reference: one launch per stage, intermediates in global
 /// memory — exactly what the planner emits without the fusion pass.
 template <typename T>
 ChainLevels<T> run_unfused(const Nest3& n, std::span<const T> host,
-                           const StrategyConfig& sc) {
+                           const StrategyConfig& sc, bool with_inits = false) {
   gpusim::Device dev;
   const auto volume = static_cast<std::size_t>(n.nk * n.nj * n.ni);
   auto input = dev.alloc<T>(volume);
@@ -73,6 +84,7 @@ ChainLevels<T> run_unfused(const Nest3& n, std::span<const T> host,
                 T r) {
     ctx.st(vec_view, static_cast<std::size_t>(k * nj + j), r);
   };
+  if (with_inits) vb.instance_init = vector_init<T>;
   auto s1 = run_vector_reduction<T>(dev, n, small_cfg(),
                                     acc::ReductionOp::kSum, vb, sc);
 
@@ -84,6 +96,11 @@ ChainLevels<T> run_unfused(const Nest3& n, std::span<const T> host,
   wb.sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, std::int64_t, T r) {
     ctx.st(wrk_view, static_cast<std::size_t>(k), r);
   };
+  if (with_inits) {
+    wb.instance_init = [](std::int64_t k, std::int64_t) {
+      return worker_init<T>(k);
+    };
+  }
   auto s2 = run_worker_reduction<T>(dev, n, small_cfg(),
                                     acc::ReductionOp::kSum, wb, sc);
 
@@ -92,6 +109,10 @@ ChainLevels<T> run_unfused(const Nest3& n, std::span<const T> host,
                    std::int64_t) {
     return ctx.ld(wrk_view, static_cast<std::size_t>(k));
   };
+  if (with_inits) {
+    gb.host_init = static_cast<T>(kHostInit);
+    gb.host_init_set = true;
+  }
   auto s3 = run_gang_reduction<T>(dev, n, small_cfg(),
                                   acc::ReductionOp::kSum, gb, sc);
 
@@ -108,7 +129,7 @@ ChainLevels<T> run_unfused(const Nest3& n, std::span<const T> host,
 /// The fused run, capturing every level through the sinks.
 template <typename T>
 ChainLevels<T> run_fused(const Nest3& n, std::span<const T> host,
-                         const StrategyConfig& sc) {
+                         const StrategyConfig& sc, bool with_inits = false) {
   gpusim::Device dev;
   const auto volume = static_cast<std::size_t>(n.nk * n.nj * n.ni);
   auto input = dev.alloc<T>(volume);
@@ -132,6 +153,12 @@ ChainLevels<T> run_fused(const Nest3& n, std::span<const T> host,
   fb.worker_sink = [=](gpusim::ThreadCtx& ctx, std::int64_t k, T r) {
     ctx.st(wrk_view, static_cast<std::size_t>(k), r);
   };
+  if (with_inits) {
+    fb.vector_init = vector_init<T>;
+    fb.worker_init = worker_init<T>;
+    fb.host_init = static_cast<T>(kHostInit);
+    fb.host_init_set = true;
+  }
   auto res = run_fused_chain<T>(dev, sum_chain3(), n, small_cfg(), fb, sc);
 
   ChainLevels<T> out;
@@ -172,49 +199,22 @@ TEST(FusedCascade, PerLevelBitIdenticalToUnfusedAcrossExecutionKnobs) {
   }
 }
 
-TEST(FusedCascade, MatchesHandWrittenCascadeWithInitsBitForBit) {
-  // The generalization claim: the planner-emitted fused kernel subsumes
-  // reduce/cascade.hpp including per-instance initial values and the
-  // incoming host value of the outermost variable.
+TEST(FusedCascade, MatchesUnfusedSequenceWithInitsBitForBit) {
+  // The fused kernel honours per-instance initial values and the incoming
+  // host value of the outermost variable exactly where the stage kernels
+  // fold them, so every level still matches the three-launch sequence.
   const Nest3 n{5, 6, 64};
-  gpusim::Device dev;
-  const auto volume = static_cast<std::size_t>(n.nk * n.nj * n.ni);
-  const auto host = test::make_input<double>(acc::ReductionOp::kSum, volume);
-  auto input = dev.alloc<double>(volume);
-  input.copy_from_host(host);
-  auto iv = input.view();
-  const auto [nk, nj, ni] = n;
-  const auto contrib = [=](gpusim::ThreadCtx& ctx, std::int64_t k,
-                           std::int64_t j, std::int64_t i) {
-    return ctx.ld(iv, static_cast<std::size_t>((k * nj + j) * ni + i));
-  };
-
-  CascadeBindings<double> cb;
-  cb.contrib = contrib;
-  cb.vector_init = [](std::int64_t, std::int64_t j) {
-    return static_cast<double>(j);
-  };
-  cb.worker_init = [](std::int64_t k) { return static_cast<double>(k); };
-  cb.gang_init = 5.0;
-  cb.gang_init_set = true;
-  auto ref = run_cascaded_reduction<double>(
-      dev, n, small_cfg(),
-      CascadeOps{acc::ReductionOp::kSum, acc::ReductionOp::kSum,
-                 acc::ReductionOp::kSum},
-      cb);
-
-  FusedChainBindings<double> fb;
-  fb.contrib = contrib;
-  fb.vector_init = cb.vector_init;
-  fb.worker_init = cb.worker_init;
-  fb.host_init = 5.0;
-  fb.host_init_set = true;
-  auto fused =
-      run_fused_chain<double>(dev, sum_chain3(), n, small_cfg(), fb, {});
-
-  ASSERT_TRUE(ref.scalar.has_value());
-  ASSERT_TRUE(fused.scalar.has_value());
-  EXPECT_EQ(*fused.scalar, *ref.scalar);
+  const auto host = test::make_input<double>(
+      acc::ReductionOp::kSum, static_cast<std::size_t>(n.nk * n.nj * n.ni));
+  const ChainLevels<double> unfused =
+      run_unfused<double>(n, host, {}, /*with_inits=*/true);
+  const ChainLevels<double> fused =
+      run_fused<double>(n, host, {}, /*with_inits=*/true);
+  EXPECT_EQ(fused.vector_results, unfused.vector_results);
+  EXPECT_EQ(fused.worker_results, unfused.worker_results);
+  EXPECT_EQ(fused.scalar, unfused.scalar);
+  // The inits reached the result: without them the scalar differs.
+  EXPECT_NE(fused.scalar, run_fused<double>(n, host, {}).scalar);
 }
 
 TEST(FusedCascade, TwoStageChainsAndMixedOperators) {

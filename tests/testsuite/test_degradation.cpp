@@ -1,8 +1,8 @@
 // Tests of the graceful-degradation executor (acc/executor.hpp) and the
 // testsuite runner's recovery plumbing: retry, non-sticky fault stripping,
 // the degradation ladder (all-barriers tree, then geometry shrink), the
-// runner's allocation-retry loop, and the campaign accounting that must
-// survive every one of those paths.
+// runner's own allocations and extended-kind cells on the same ladder, and
+// the campaign accounting that must survive every one of those paths.
 #include "acc/executor.hpp"
 
 #include <gtest/gtest.h>
@@ -244,8 +244,8 @@ TEST(RunnerDegradation, BitflipIsCaughtStrippedAndRecovered) {
 TEST(RunnerDegradation, StickyBitflipWithoutDegradeFailsStructurally) {
   testsuite::RunnerOptions o = small_opts();
   o.faults = "bitflip@tree:block=0,bit=62,sticky";
-  o.max_retries = 1;
-  o.degrade = false;
+  o.guard.max_retries = 1;
+  o.guard.degrade = false;
   testsuite::Runner runner(o);
   const testsuite::CaseOutcome out =
       runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
@@ -271,15 +271,49 @@ TEST(RunnerDegradation, InjectedAllocFailureIsRetriedAndRecorded) {
   EXPECT_EQ(out.stats.fault_events[0].kind, FaultKind::kAllocFail);
   EXPECT_EQ(out.stats.fault_events[0].stage, "input");
   ASSERT_FALSE(out.events.empty());
-  EXPECT_NE(out.events[0].find("retry allocation"), std::string::npos)
+  EXPECT_NE(out.events[0].find("strip non-sticky faults"), std::string::npos)
       << out.events[0];
+}
+
+TEST(RunnerDegradation, UnstagedAllocFailFiresOnce) {
+  // An unstaged alloc_fail matches the first allocation of the attempt —
+  // the runner's input buffer. It is armed once per attempt by the guarded
+  // loop, so it fires once and the stripped retry allocates cleanly.
+  testsuite::RunnerOptions o = small_opts();
+  o.faults = "alloc_fail";
+  testsuite::Runner runner(o);
+  const testsuite::CaseOutcome out =
+      runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
+  EXPECT_TRUE(out.verified) << out.detail;
+  EXPECT_EQ(out.attempts, 2);
+  ASSERT_EQ(out.stats.fault_events.size(), 1u);
+  EXPECT_EQ(out.stats.fault_events[0].kind, FaultKind::kAllocFail);
+}
+
+TEST(RunnerDegradation, StickyInputAllocFailSurfacesAsOom) {
+  // A sticky fault on the runner's own buffer fires on every attempt, like
+  // a sticky kernel-side alloc fault: the ladder runs out and the cell
+  // fails with a structured kOom.
+  testsuite::RunnerOptions o = small_opts();
+  o.faults = "alloc_fail@input:sticky";
+  testsuite::Runner runner(o);
+  const testsuite::CaseOutcome out =
+      runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
+  EXPECT_FALSE(out.verified);
+  EXPECT_GT(out.attempts, 2);
+  EXPECT_EQ(out.stats.error.code, LaunchErrorCode::kOom);
+  EXPECT_EQ(out.stats.fault_events.size(),
+            static_cast<std::size_t>(out.attempts));
+  ASSERT_FALSE(out.events.empty());
+  EXPECT_NE(out.events.back().find("-> give up"), std::string::npos)
+      << out.events.back();
 }
 
 TEST(RunnerDegradation, RunnerEventsRenderRungAndOrdinal) {
   testsuite::RunnerOptions o = small_opts();
   o.faults = "bitflip@tree:block=0,bit=62,sticky";
-  o.max_retries = 1;
-  o.degrade = false;
+  o.guard.max_retries = 1;
+  o.guard.degrade = false;
   testsuite::Runner runner(o);
   const testsuite::CaseOutcome out =
       runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
@@ -293,8 +327,8 @@ TEST(RunnerDegradation, RunnerEventsRenderRungAndOrdinal) {
 TEST(RunnerDegradation, AttemptBudgetAppliesThroughTheRunner) {
   testsuite::RunnerOptions o = small_opts();
   o.faults = "bitflip@tree:block=0,bit=62,sticky";
-  o.max_retries = 3;
-  o.max_total_attempts = 2;
+  o.guard.max_retries = 3;
+  o.guard.max_total_attempts = 2;
   testsuite::Runner runner(o);
   const testsuite::CaseOutcome out =
       runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
@@ -328,14 +362,68 @@ TEST(RunnerDegradation, WatchdogBudgetAppliesThroughTheRunner) {
   // and the cell fails with a structured kWatchdog error.
   testsuite::RunnerOptions o = small_opts();
   o.max_steps = 1;
-  o.max_retries = 0;
-  o.degrade = false;
+  o.guard.max_retries = 0;
+  o.guard.degrade = false;
   testsuite::Runner runner(o);
   const testsuite::CaseOutcome out =
       runner.run(acc::CompilerId::kOpenUH, kGangSumInt);
   EXPECT_FALSE(out.verified);
   EXPECT_EQ(out.stats.error.code, LaunchErrorCode::kWatchdog);
   EXPECT_NE(out.detail.find("watchdog"), std::string::npos) << out.detail;
+}
+
+// ---- extended-kind cells: the same ladder, on rung 0 only -------------
+
+const testsuite::ExtSpec kArgMinInt{testsuite::ExtKind::kArgMin,
+                                    acc::DataType::kInt32};
+
+TEST(RunnerDegradation, ExtArgMinBitflipIsStrippedAndRecovered) {
+  testsuite::RunnerOptions o = small_opts();
+  o.faults = "bitflip@finalize:block=0,bit=64";
+  testsuite::Runner runner(o);
+  const testsuite::CaseOutcome out =
+      runner.run_ext(acc::CompilerId::kOpenUH, kArgMinInt);
+  EXPECT_TRUE(out.verified) << out.detail;
+  EXPECT_TRUE(out.recovered);
+  EXPECT_EQ(out.attempts, 2);
+  EXPECT_FALSE(out.degraded);
+  ASSERT_FALSE(out.stats.fault_events.empty());
+  EXPECT_EQ(out.stats.fault_events[0].kind, FaultKind::kBitFlip);
+  ASSERT_EQ(out.events.size(), 1u);
+  EXPECT_NE(out.events[0].find("strip non-sticky faults"), std::string::npos)
+      << out.events[0];
+}
+
+TEST(RunnerDegradation, ExtSegmentedCancellationIsTerminal) {
+  testsuite::RunnerOptions o = small_opts();
+  o.cancel = std::make_shared<gpusim::CancelToken>();
+  o.cancel->cancel_at_launch(1);
+  testsuite::Runner runner(o);
+  const testsuite::CaseOutcome out = runner.run_ext(
+      acc::CompilerId::kOpenUH,
+      {testsuite::ExtKind::kSegmented, acc::DataType::kInt32});
+  EXPECT_FALSE(out.verified);
+  EXPECT_EQ(out.attempts, 1);
+  EXPECT_EQ(out.stats.error.code, LaunchErrorCode::kCancelled);
+  ASSERT_EQ(out.events.size(), 1u);
+  EXPECT_NE(out.events[0].find("cancelled: give up"), std::string::npos)
+      << out.events[0];
+}
+
+TEST(RunnerDegradation, ExtAttemptBudgetIsTerminal) {
+  testsuite::RunnerOptions o = small_opts();
+  o.faults = "bitflip@finalize:block=0,bit=64,sticky";
+  o.guard.max_retries = 3;
+  o.guard.max_total_attempts = 2;
+  testsuite::Runner runner(o);
+  const testsuite::CaseOutcome out =
+      runner.run_ext(acc::CompilerId::kOpenUH, kArgMinInt);
+  EXPECT_FALSE(out.verified);
+  EXPECT_EQ(out.attempts, 2);
+  ASSERT_EQ(out.events.size(), 2u);
+  EXPECT_NE(out.events.back().find("attempt budget exhausted: give up"),
+            std::string::npos)
+      << out.events.back();
 }
 
 }  // namespace

@@ -19,29 +19,22 @@
 #include <exception>
 #include <limits>
 #include <optional>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
-#include <sstream>
 
 #include "obs/diff.hpp"
+#include "obs/record.hpp"
 #include "util/cli.hpp"
 
 namespace {
 
 int list_metrics(const std::string& path) {
   using namespace accred;
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "bench_diff: cannot read " << path << '\n';
-    return 2;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  const std::optional<obs::Json> j = obs::load_record(path, "bench_diff");
+  if (!j) return 2;
   try {
-    const obs::Json j = obs::Json::parse(buf.str());
-    for (const obs::Json& e : j.at("entries").elements()) {
+    for (const obs::Json& e : j->at("entries").elements()) {
       const std::string& name = e.at("name").as_string();
       for (const auto& [key, value] : e.at("metrics").items()) {
         (void)value;
@@ -58,23 +51,6 @@ int list_metrics(const std::string& path) {
     return 2;
   }
   return 0;
-}
-
-/// Load and parse one record, or report and return nullopt.
-std::optional<accred::obs::Json> load_record(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "bench_diff: cannot read " << path << '\n';
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  try {
-    return accred::obs::Json::parse(buf.str());
-  } catch (const std::exception& ex) {
-    std::cerr << "bench_diff: " << path << ": " << ex.what() << '\n';
-    return std::nullopt;
-  }
 }
 
 /// The wall metrics of one entry: every "metrics" key containing "wall",
@@ -114,8 +90,10 @@ double device_ms(const accred::obs::Json& entry) {
 
 int wall_report(const std::string& base_path, const std::string& cur_path) {
   using accred::obs::Json;
-  const std::optional<Json> base = load_record(base_path);
-  const std::optional<Json> cur = load_record(cur_path);
+  const std::optional<Json> base =
+      accred::obs::load_record(base_path, "bench_diff");
+  const std::optional<Json> cur =
+      accred::obs::load_record(cur_path, "bench_diff");
   if (!base || !cur) return 2;
 
   std::cout << "bench_diff --wall-report: " << cur_path << " vs baseline "

@@ -24,8 +24,8 @@
 //   2 = unreadable/malformed input or a missing section (a campaign that
 //       cannot be judged must fail the gate, not pass it), or bad usage.
 #include <cmath>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -79,27 +79,10 @@ int run(int argc, char** argv) {
     return 2;
   }
   const std::string path = cli.positional()[0];
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "chaos_report: cannot read " << path << '\n';
-    return 2;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-
-  obs::Json record;
-  try {
-    record = obs::Json::parse(buf.str());
-    if (const obs::Json* schema = record.find("schema");
-        schema == nullptr || schema->as_string() != obs::kBenchSchema) {
-      std::cerr << "chaos_report: " << path << " is not an "
-                << obs::kBenchSchema << " record\n";
-      return 2;
-    }
-  } catch (const std::exception& ex) {
-    std::cerr << "chaos_report: " << path << ": " << ex.what() << '\n';
-    return 2;
-  }
+  const std::optional<obs::Json> loaded =
+      obs::load_record(path, "chaos_report");
+  if (!loaded) return 2;
+  const obs::Json& record = *loaded;
 
   const obs::Json* chaos = find_entry(record, "chaos");
   const obs::Json* expect = find_entry(record, "expect");

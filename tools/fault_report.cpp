@@ -22,8 +22,8 @@
 //   2 = unreadable/malformed input, no fault-armed entries, or nothing
 //       fired at all (an injection campaign that injected nothing must
 //       fail a gate, not pass it), or bad usage.
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -76,22 +76,10 @@ std::string render_error(const obs::Json& err) {
 /// Pull every entry whose stats carry a "faults" block (i.e. the run was
 /// fault-armed). Returns false on IO/parse/schema problems.
 bool load_entries(const std::string& path, std::vector<FaultedEntry>& out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "fault_report: cannot read " << path << '\n';
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  const std::optional<obs::Json> j = obs::load_record(path, "fault_report");
+  if (!j) return false;
   try {
-    const obs::Json j = obs::Json::parse(buf.str());
-    if (const obs::Json* schema = j.find("schema");
-        schema == nullptr || schema->as_string() != obs::kBenchSchema) {
-      std::cerr << "fault_report: " << path << " is not an "
-                << obs::kBenchSchema << " record\n";
-      return false;
-    }
-    for (const obs::Json& e : j.at("entries").elements()) {
+    for (const obs::Json& e : j->at("entries").elements()) {
       const obs::Json* stats = e.find("stats");
       if (stats == nullptr) continue;
       const obs::Json* faults = stats->find("faults");

@@ -26,18 +26,17 @@
 // breach; 2 = unreadable input, no telemetry section, or bad usage.
 #include <cstdint>
 #include <exception>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/record.hpp"
 #include "util/cli.hpp"
 #include "util/main_guard.hpp"
 
@@ -52,22 +51,6 @@ struct Telemetry {
   std::map<std::string, std::int64_t> gauges;
   std::map<std::string, obs::Histogram> histograms;
 };
-
-std::optional<obs::Json> load_record(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "metrics_report: cannot read " << path << '\n';
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  try {
-    return obs::Json::parse(buf.str());
-  } catch (const std::exception& ex) {
-    std::cerr << "metrics_report: " << path << ": " << ex.what() << '\n';
-    return std::nullopt;
-  }
-}
 
 /// The telemetry of `entry_name` (or of the first entry carrying one).
 std::optional<Telemetry> extract(const obs::Json& record,
@@ -317,8 +300,10 @@ int run(int argc, char** argv) {
   }
 
   if (is_compare) {
-    const std::optional<obs::Json> base = load_record(cli.positional()[0]);
-    const std::optional<obs::Json> cur = load_record(cli.positional()[1]);
+    const std::optional<obs::Json> base =
+        obs::load_record(cli.positional()[0], "metrics_report");
+    const std::optional<obs::Json> cur =
+        obs::load_record(cli.positional()[1], "metrics_report");
     if (!base || !cur) return 2;
     const std::optional<Telemetry> bt =
         extract(*base, entry, cli.positional()[0]);
@@ -329,7 +314,8 @@ int run(int argc, char** argv) {
     return check_slos(*ct, slos) ? 0 : 1;
   }
 
-  const std::optional<obs::Json> record = load_record(cli.positional()[0]);
+  const std::optional<obs::Json> record =
+      obs::load_record(cli.positional()[0], "metrics_report");
   if (!record) return 2;
   const std::optional<Telemetry> t =
       extract(*record, entry, cli.positional()[0]);

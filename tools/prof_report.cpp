@@ -15,9 +15,9 @@
 // Exit codes: 0 = report printed, 2 = unreadable/malformed input, no
 // profile sections, or bad usage (there is no "regression" verdict here —
 // that is bench_diff's job).
-#include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,22 +39,10 @@ struct ProfiledEntry {
 /// Load a record file and pull out every entry carrying a profile section.
 /// Returns false (with a message on stderr) on IO/parse/schema problems.
 bool load_profiles(const std::string& path, std::vector<ProfiledEntry>& out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "prof_report: cannot read " << path << '\n';
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  const std::optional<obs::Json> j = obs::load_record(path, "prof_report");
+  if (!j) return false;
   try {
-    const obs::Json j = obs::Json::parse(buf.str());
-    if (const obs::Json* schema = j.find("schema");
-        schema == nullptr || schema->as_string() != obs::kBenchSchema) {
-      std::cerr << "prof_report: " << path << " is not an " << obs::kBenchSchema
-                << " record\n";
-      return false;
-    }
-    for (const obs::Json& e : j.at("entries").elements()) {
+    for (const obs::Json& e : j->at("entries").elements()) {
       if (const obs::Json* p = e.find("profile")) {
         out.push_back({e.at("name").as_string(), obs::profile_from_json(*p)});
       }

@@ -13,8 +13,8 @@
 //   1 = at least one race was reported
 //   2 = unreadable/malformed input, no racechecked entries (the detector
 //       silently off must fail a gate, not pass it), or bad usage.
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,22 +56,10 @@ std::string render_report(const obs::Json& r) {
 /// Pull every entry whose stats carry a "races" counter (i.e. the launch
 /// ran under racecheck). Returns false on IO/parse/schema problems.
 bool load_entries(const std::string& path, std::vector<CheckedEntry>& out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "racecheck_report: cannot read " << path << '\n';
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  const std::optional<obs::Json> j = obs::load_record(path, "racecheck_report");
+  if (!j) return false;
   try {
-    const obs::Json j = obs::Json::parse(buf.str());
-    if (const obs::Json* schema = j.find("schema");
-        schema == nullptr || schema->as_string() != obs::kBenchSchema) {
-      std::cerr << "racecheck_report: " << path << " is not an "
-                << obs::kBenchSchema << " record\n";
-      return false;
-    }
-    for (const obs::Json& e : j.at("entries").elements()) {
+    for (const obs::Json& e : j->at("entries").elements()) {
       const obs::Json* stats = e.find("stats");
       if (stats == nullptr) continue;
       const obs::Json* races = stats->find("races");
