@@ -24,7 +24,6 @@
 #include <iostream>
 
 #include "acc/executor.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "reduce/fused_cascade.hpp"
 #include "reduce/payload_reduce.hpp"
@@ -247,8 +246,6 @@ void report(obs::Session& obs, util::TextTable& t, const std::string& name,
 
 int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   obs::Session obs(cli, "cascade_fusion");
   const std::int64_t r = cli.get_int("r", 1 << 14);
   cli.reject_unknown();

@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "apps/heat.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -23,8 +22,6 @@ namespace {
 int run(int argc, char** argv) {
   using namespace accred;
   const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   obs::Session obs(cli, "fig12a_heat");
   const int iters = static_cast<int>(cli.get_int("iters", 50));
   const double tol = cli.get_double("tol", 0.0);

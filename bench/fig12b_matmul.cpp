@@ -11,7 +11,6 @@
 
 #include "acc/profiles.hpp"
 #include "apps/matmul.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -23,8 +22,6 @@ namespace {
 int run(int argc, char** argv) {
   using namespace accred;
   const util::Cli cli(argc, argv, {"verify"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   obs::Session obs(cli, "fig12b_matmul");
 
   std::vector<std::int64_t> sizes;

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "apps/montecarlo.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -21,8 +20,6 @@ namespace {
 int run(int argc, char** argv) {
   using namespace accred;
   const util::Cli cli(argc, argv, {"full"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   obs::Session obs(cli, "fig12c_montecarlo");
 
   const std::string samples = cli.get("samples", "4194304,8388608,16777216");

@@ -9,14 +9,13 @@
 //        --profile (per-stage attribution tables, obs/profiler.hpp)
 //        --racecheck (dynamic race detection, gpusim/racecheck.hpp; the
 //                     six variants must all be race-free — tools/
-//                     racecheck_report gates on the JSON record)
+//                     `accred_report race` gates on the JSON record)
 //        --json FILE / --trace FILE (structured record / event trace)
 #include <iostream>
 
 #include "reduce/vector_reduce.hpp"
 #include "reduce/worker_reduce.hpp"
 #include "testsuite/values.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/profiler.hpp"
 #include "obs/record.hpp"
 #include "util/cli.hpp"
@@ -122,8 +121,6 @@ namespace {
 
 int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"profile", "racecheck"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   const std::int64_t r = cli.get_int("r", 1 << 16);
   const bool profile = cli.get_bool("profile") || obs::profile_env_default();
   const bool racecheck =

@@ -12,7 +12,6 @@
 #include "acc/ops.hpp"
 #include "gpusim/launch.hpp"
 #include "reduce/tree.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/profiler.hpp"
 #include "obs/record.hpp"
 #include "util/cli.hpp"
@@ -73,8 +72,6 @@ namespace {
 
 int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"profile"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   const std::int64_t instances = cli.get_int("instances", 512);
   const bool profile = cli.has("profile") || obs::profile_env_default();
   obs::Session obs(cli, "fig7_tree_variants");

@@ -12,7 +12,6 @@
 
 #include "reduce/finalize.hpp"
 #include "testsuite/values.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -48,8 +47,6 @@ namespace {
 
 int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   obs::Session obs(cli, "finalize_strategies");
   std::vector<std::size_t> counts;
   {

@@ -10,7 +10,6 @@
 
 #include "reduce/rmp_reduce.hpp"
 #include "testsuite/values.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -57,8 +56,6 @@ namespace {
 
 int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   // nj defaults to several times num_workers: the ordered variant runs a
   // vector tree per (k, j) window instance, so the amplification only
   // shows when each worker handles multiple j's.

@@ -30,7 +30,7 @@
 // A second service instance ("shed") with CoDel shedding enabled takes a
 // small-then-burst single-tenant schedule; sustained modeled wait above
 // target sheds the youngest queued jobs (kShed). A third, plain instance
-// replays only the clean alice/bob jobs: tools/chaos_report asserts the
+// replays only the clean alice/bob jobs: `accred_report chaos` asserts the
 // chaos run's clean-tenant checksum equals this baseline bit-for-bit.
 //
 // Flags:
@@ -38,7 +38,8 @@
 //   --workers N      service executor threads (default 2)
 //   --sim-threads N  host threads per kernel launch (results identical)
 //   --metrics        attach both telemetry registries to the record
-//   --json FILE      write the accred.bench record (chaos_report input)
+//   --json FILE      write the accred.bench record (input of
+//                    `accred_report chaos`)
 //   --trace FILE     chrome://tracing export (breaker / cancel / shed spans)
 #include <chrono>
 #include <cstdio>
@@ -49,7 +50,6 @@
 #include <utility>
 #include <vector>
 
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "service/service.hpp"
 #include "util/cli.hpp"
@@ -129,8 +129,6 @@ class Campaign {
 
 int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"metrics"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   obs::Session obs(cli, "service_chaos");
 
   const std::int64_t r = cli.get_int("r", 256);
@@ -364,8 +362,8 @@ int run(int argc, char** argv) {
       .attr("clean_checksum", hex64(clean_checksum));
   if (metrics_on) chaos.telemetry(std::move(chaos_telemetry));
 
-  // The scheduled outcome — chaos_report fails the gate on any mismatch
-  // between these and the same-named "chaos" metrics.
+  // The scheduled outcome — `accred_report chaos` fails the gate on any
+  // mismatch between these and the same-named "chaos" metrics.
   obs.record()
       .entry("expect")
       .metric("breaker_opens", 2)

@@ -58,7 +58,6 @@
 #include <thread>
 #include <vector>
 
-#include "gpusim/pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/record.hpp"
 #include "service/service.hpp"
@@ -160,8 +159,6 @@ P5099 hist_percentiles(const obs::MetricsRegistry& reg,
 
 int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"metrics"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   obs::Session obs(cli, "service_throughput");
 
   const auto jobs = static_cast<std::size_t>(cli.get_int("jobs", 2500));

@@ -13,7 +13,6 @@
 
 #include "acc/ops.hpp"
 #include "gpusim/launch.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "reduce/tree.hpp"
 #include "util/cli.hpp"
@@ -190,8 +189,6 @@ int run(int argc, char** argv) {
   // argv; every flag left over must be one of ours.
   benchmark::Initialize(&argc, argv);
   const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   obs::Session obs(cli, "simulator_microbench");
   cli.reject_unknown();
   if (!cli.positional().empty()) {

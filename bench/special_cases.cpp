@@ -13,7 +13,6 @@
 #include "reduce/multivar.hpp"
 #include "reduce/vector_reduce.hpp"
 #include "testsuite/values.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -65,8 +64,6 @@ namespace {
 
 int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   const std::int64_t r = cli.get_int("r", 1 << 16);
   obs::Session obs(cli, "special_cases");
   cli.reject_unknown();

@@ -10,10 +10,10 @@
 //   --no-copy    drop the parallel temp-copy traffic of Fig. 4
 //   --racecheck  run every cell under the dynamic race detector
 //                (gpusim/racecheck.hpp; env: ACCRED_RACECHECK); reports
-//                land in the JSON record for tools/racecheck_report
+//                land in the JSON record for `accred_report race`
 //   --faults SPEC    arm deterministic fault injection on every cell
 //                    (gpusim/faultinject.hpp grammar; env: ACCRED_FAULTS);
-//                    fired faults land in the record for tools/fault_report
+//                    fired faults land in the record for `accred_report fault`
 //   --max-retries N  same-configuration re-runs after a failed attempt
 //                    before the degradation ladder engages (default 1)
 //   --no-degrade     retry only: never fall back to the all-barriers tree
@@ -37,7 +37,6 @@
 #include "codegen/cuda_emitter.hpp"
 #include "obs/record.hpp"
 #include "testsuite/report.hpp"
-#include "gpusim/pool.hpp"
 #include "util/cli.hpp"
 
 #include "util/main_guard.hpp"
@@ -48,8 +47,6 @@ int run(int argc, char** argv) {
   using namespace accred;
   const util::Cli cli(argc, argv, {"full", "no-copy", "fig11", "racecheck",
                                    "no-degrade", "error-on-race", "ext"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   obs::Session obs(cli, "table2_testsuite");
 
   testsuite::RunnerOptions opts;

@@ -10,7 +10,6 @@
 
 #include "reduce/rmp_reduce.hpp"
 #include "testsuite/values.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -49,8 +48,6 @@ namespace {
 
 int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   const std::int64_t n = cli.get_int("n", 1 << 20);
   obs::Session obs(cli, "window_vs_blocking");
   cli.reject_unknown();

@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "apps/heat.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -18,9 +17,6 @@ namespace {
 int run(int argc, char** argv) {
   using namespace accred;
   const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-
   obs::Session obs(cli, "heat_equation");
   apps::HeatOptions opts;
   opts.ni = opts.nj = cli.get_int("n", 128);

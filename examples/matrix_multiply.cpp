@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "apps/matmul.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -20,9 +19,6 @@ namespace {
 int run(int argc, char** argv) {
   using namespace accred;
   const util::Cli cli(argc, argv, {"no-verify"});
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-
   obs::Session obs(cli, "matrix_multiply");
   apps::MatmulOptions opts;
   opts.n = cli.get_int("n", 96);

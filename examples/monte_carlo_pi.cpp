@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "apps/montecarlo.hpp"
-#include "gpusim/pool.hpp"
 #include "obs/record.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -20,9 +19,6 @@ namespace {
 int run(int argc, char** argv) {
   using namespace accred;
   const util::Cli cli(argc, argv);
-  gpusim::set_default_sim_threads(
-      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
-
   obs::Session obs(cli, "monte_carlo_pi");
   apps::MonteCarloOptions opts;
   opts.samples = cli.get_int("samples", 1 << 22);

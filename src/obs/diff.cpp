@@ -192,8 +192,8 @@ DiffReport diff_files(const std::string& baseline_path,
 
 void print_diff(std::ostream& os, const DiffReport& report, bool all) {
   if (report.exit_code == 2) {
-    os << "bench_diff: records not comparable: " << report.schema_error
-       << '\n';
+    os << "accred_report diff: records not comparable: "
+       << report.schema_error << '\n';
     return;
   }
   const auto old_flags = os.flags();

@@ -1,5 +1,5 @@
 // Regression diff over two accred.bench records (obs/record.hpp): the CI
-// gate behind tools/bench_diff. Entries are joined by name, every
+// gate behind `accred_report diff`. Entries are joined by name, every
 // deterministic metric is compared under a relative tolerance, and the
 // verdict maps to a process exit code:
 //   0 — within tolerance (improvements included),

@@ -5,6 +5,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "gpusim/pool.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 
@@ -131,7 +132,7 @@ BenchEntry& BenchEntry::stats(const gpusim::LaunchStats& s,
   if (!s.profile.empty()) profile(s.profile);
   if (s.racecheck) {
     // Present (possibly empty) whenever the detector ran, so
-    // tools/racecheck_report can tell "clean" from "not checked".
+    // `accred_report race` can tell "clean" from "not checked".
     Json arr = Json::array();
     for (const gpusim::RaceReport& r : s.race_reports) {
       arr.push(race_report_to_json(r));
@@ -205,6 +206,8 @@ bool RunRecord::write(const std::string& path) const {
 
 Session::Session(const util::Cli& cli, std::string bench_name)
     : record_(std::move(bench_name)), json_path_(cli.get("json", "")) {
+  gpusim::set_default_sim_threads(
+      static_cast<std::uint32_t>(cli.get_int("sim-threads", 0)));
   if (const std::string t = cli.get("trace", ""); !t.empty()) {
     trace_configure(t);
   } else {

@@ -1,12 +1,12 @@
 // Structured run records: the machine-readable twin of the paper-shaped
 // text tables every bench and example prints. One RunRecord per process
-// run; one BenchEntry per table row (uniquely named, so bench_diff can
-// match rows across runs); LaunchStats serialize with every raw counter
-// plus the derived metrics the paper argues from.
+// run; one BenchEntry per table row (uniquely named, so `accred_report
+// diff` can match rows across runs); LaunchStats serialize with every raw
+// counter plus the derived metrics the paper argues from.
 //
 // Schema stability contract (DESIGN.md §8): field names and meanings never
 // change within a schema_version; adding fields is allowed, removing or
-// renaming bumps the version, and tools/bench_diff refuses to compare
+// renaming bumps the version, and `accred_report diff` refuses to compare
 // records across versions.
 //
 // Metric-name conventions consumed by bench_diff:
@@ -39,8 +39,8 @@ inline constexpr const char* kBenchSchema = "accred.bench";
 /// emitted only when metrics emission is on. Version history in
 /// DESIGN.md §8.
 inline constexpr std::int64_t kBenchSchemaVersion = 3;
-/// Oldest baseline version bench_diff still compares against the current
-/// one. v3 only *adds* an optional section, so v2 baselines stay
+/// Oldest baseline version `accred_report diff` still compares against the
+/// current one. v3 only *adds* an optional section, so v2 baselines stay
 /// comparable; v1 predates the profile section's stage-name stability
 /// guarantees and is refused.
 inline constexpr std::int64_t kBenchSchemaCompatVersion = 2;
@@ -52,7 +52,7 @@ inline constexpr std::int64_t kBenchSchemaCompatVersion = 2;
                                  const gpusim::DeviceLimits& lim = {});
 
 /// One named row of a bench record. Names must be unique within a record
-/// — they are the join key bench_diff matches rows by.
+/// — they are the join key `accred_report diff` matches rows by.
 class BenchEntry {
 public:
   explicit BenchEntry(std::string name) : name_(std::move(name)) {}
@@ -127,10 +127,12 @@ private:
 [[nodiscard]] std::optional<Json> load_record(const std::string& path,
                                               std::string_view tool);
 
-/// Per-executable observability session: reads `--json FILE` and
-/// `--trace FILE` (falling back to the ACCRED_TRACE env var) from the
-/// already-parsed CLI, exposes the RunRecord the harness fills, and on
-/// destruction writes the record and flushes the trace. Harness usage:
+/// Per-executable session: reads `--json FILE` and `--trace FILE`
+/// (falling back to the ACCRED_TRACE env var) from the already-parsed CLI,
+/// applies `--sim-threads N` as the process default
+/// (gpusim::set_default_sim_threads; absent = 0, the env / hardware
+/// default), exposes the RunRecord the harness fills, and on destruction
+/// writes the record and flushes the trace. Harness usage:
 ///
 ///   obs::Session obs(cli, "table2_testsuite");
 ///   obs.record().entry("gang/+/float/openuh").metric("device_ms", ...);

@@ -61,7 +61,7 @@ struct PlanKeyHash {
 
 /// Counters surfaced through the obs layer (bench records and
 /// ServiceStats). hit_rate() follows the record naming conventions:
-/// exported as a "hit_rate" metric, which bench_diff treats as
+/// exported as a "hit_rate" metric, which `accred_report diff` treats as
 /// higher-is-better (obs/diff.cpp).
 struct PlanCacheStats {
   std::uint64_t hits = 0;

@@ -27,7 +27,7 @@ struct CellKey {
 
 /// A cell's verification and recovery attrs — "verified", then "detail",
 /// "recovered", "degraded" and "events" when set — the fields
-/// tools/fault_report classifies a fault-armed entry by.
+/// `accred_report fault` classifies a fault-armed entry by.
 void outcome_attrs(obs::BenchEntry& e, const CaseOutcome& outcome);
 
 class Report {

@@ -1,11 +1,12 @@
 // obs/record.hpp: the schema-stability golden. Field names, their order,
-// and the derived-metric values are contract — bench_diff and the
+// and the derived-metric values are contract — `accred_report diff` and the
 // committed CI baselines parse them, so a mismatch here means either a
 // schema_version bump was forgotten or a field changed meaning.
 #include "obs/record.hpp"
 
 #include <gtest/gtest.h>
 
+#include "gpusim/pool.hpp"
 #include "obs/profiler.hpp"
 
 #include <cstdio>
@@ -159,6 +160,16 @@ TEST(Record, SessionWritesRequestedFile) {
   EXPECT_EQ(j.at("bench").as_string(), "session_bench");
   EXPECT_EQ(j.at("entries").size(), 1u);
   std::remove(path.c_str());
+}
+
+TEST(Record, SessionAppliesSimThreads) {
+  const char* argv[] = {"prog", "--sim-threads", "3"};
+  const util::Cli cli(3, const_cast<char**>(argv));
+  {
+    Session session(cli, "threads");
+    EXPECT_EQ(gpusim::default_sim_threads(), 3u);
+  }
+  gpusim::set_default_sim_threads(0);
 }
 
 TEST(Record, SessionWithoutFlagsWritesNothing) {
