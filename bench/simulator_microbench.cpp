@@ -55,6 +55,36 @@ void BM_BlockBarrier(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockBarrier)->Arg(64)->Arg(256)->Arg(1024);
 
+/// The in-block tree alone: shared staging, one block_tree_reduce, one
+/// store per block. Its ~log2(threads)+2 rendezvous dominate, so this
+/// tracks the cost of a tree's barriers and syncwarps per lane.
+void BM_TreeReduce(benchmark::State& state) {
+  constexpr std::uint32_t kBlocks = 16;
+  const auto threads = static_cast<std::uint32_t>(state.range(0));
+  gpusim::Device dev;
+  auto out = dev.alloc<float>(kBlocks);
+  auto ov = out.view();
+  gpusim::SharedLayout layout;
+  auto sbuf = layout.add<float>(threads);
+  const acc::RuntimeOp<float> rop{acc::ReductionOp::kSum};
+  gpusim::SimOptions opts;
+  opts.sim_threads = 1;
+  for (auto _ : state) {
+    auto stats = gpusim::launch(
+        dev, {kBlocks}, {threads}, layout.bytes(),
+        [&](gpusim::ThreadCtx& ctx) {
+          const std::uint32_t t = ctx.threadIdx.x;
+          ctx.sts(sbuf, t, static_cast<float>(t));
+          reduce::block_tree_reduce(ctx, sbuf, 0, threads, 1, t, rop);
+          if (t == 0) ctx.st(ov, ctx.blockIdx.x, ctx.lds(sbuf, 0));
+        },
+        opts);
+    benchmark::DoNotOptimize(stats.device_time_ns);
+  }
+  state.SetItemsProcessed(state.iterations() * kBlocks * threads);
+}
+BENCHMARK(BM_TreeReduce)->Arg(128)->Arg(256)->Arg(1024);
+
 void BM_CoalescingLogger(benchmark::State& state) {
   gpusim::CostParams params;
   gpusim::WarpLog log;

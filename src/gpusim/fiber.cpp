@@ -10,11 +10,18 @@
 #if defined(ACCRED_TSAN_FIBERS)
 #include <sanitizer/tsan_interface.h>
 #endif
+#if defined(ACCRED_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace accred::gpusim {
 
 namespace {
 thread_local Fiber* tls_current = nullptr;
+#if defined(ACCRED_ASAN_FIBERS)
+thread_local FastChain* tls_chain = nullptr;  ///< chain of the running pass
+#endif
 
 void validate_stack_size(std::size_t n) {
   if (n % 16 != 0 || n < 4096) {
@@ -31,6 +38,18 @@ void validate_stack_size(std::size_t n) {
 #define ACCRED_TSAN_TO(ctx) __tsan_switch_to_fiber((ctx), 0)
 #else
 #define ACCRED_TSAN_TO(ctx) (void)0
+#endif
+
+// ASan: announce the target stack before each switch — saving the
+// suspending side's fake stack, or passing null for a lane leaving for good
+// so its fake stack is released — and complete the switch on arrival.
+#if defined(ACCRED_ASAN_FIBERS)
+#define ACCRED_ASAN_START(save, bottom, size) \
+  __sanitizer_start_switch_fiber((save), (bottom), (size))
+#define ACCRED_ASAN_FINISH(fake) tls_chain->asan_finish_switch(fake)
+#else
+#define ACCRED_ASAN_START(save, bottom, size) (void)0
+#define ACCRED_ASAN_FINISH(fake) (void)0
 #endif
 
 #if defined(ACCRED_FIBER_ASM)
@@ -156,6 +175,7 @@ Fiber::~Fiber() {
 
 void Fiber::trampoline() noexcept {
   Fiber* self = tls_current;
+  ACCRED_ASAN_FINISH(nullptr);
   self->raw_entry_(self->raw_arg_);
   // Entries end in FastChain::leave(), which never switches back here.
   std::abort();
@@ -167,6 +187,11 @@ void Fiber::reset(RawEntry entry, void* arg) {
   raw_arg_ = arg;
   eptr_ = nullptr;
   done_ = false;
+#if defined(ACCRED_ASAN_FIBERS)
+  // A pooled stack may hold an abandoned frame whose scopes are poisoned.
+  ASAN_UNPOISON_MEMORY_REGION(stack_base_, stack_size_);
+  asan_fake_stack_ = nullptr;
+#endif
   prepare_stack();
 }
 
@@ -186,7 +211,17 @@ void FastChain::run(Fiber* const* fibers, const std::uint32_t* order,
   tsan_sched_ = __tsan_get_current_fiber();
   ACCRED_TSAN_TO(first->tsan_fiber_);
 #endif
+#if defined(ACCRED_ASAN_FIBERS)
+  FastChain* prev_chain = std::exchange(tls_chain, this);
+  asan_from_sched_ = true;
+#endif
+  ACCRED_ASAN_START(&asan_sched_fake_stack_, first->stack_base_,
+                    first->stack_size_);
   switch_context(&sched_ctx_, &first->self_ctx_);
+  ACCRED_ASAN_FINISH(asan_sched_fake_stack_);
+#if defined(ACCRED_ASAN_FIBERS)
+  tls_chain = prev_chain;
+#endif
   tls_current = prev;
   Fiber* last = current_;
   if (last->eptr_) {
@@ -203,17 +238,39 @@ void FastChain::dispatch_from(Fiber* self, bool to_sched) {
       current_ = to;
       tls_current = to;
       ACCRED_TSAN_TO(to->tsan_fiber_);
+      ACCRED_ASAN_START(self->done_ ? nullptr : &self->asan_fake_stack_,
+                        to->stack_base_, to->stack_size_);
       switch_context(&self->self_ctx_, &to->self_ctx_);
+      ACCRED_ASAN_FINISH(self->asan_fake_stack_);
       return;  // a later pass re-entered `self`
     }
   }
   ACCRED_TSAN_TO(tsan_sched_);
+  ACCRED_ASAN_START(self->done_ ? nullptr : &self->asan_fake_stack_,
+                    asan_sched_bottom_, asan_sched_size_);
   switch_context(&self->self_ctx_, &sched_ctx_);
+  ACCRED_ASAN_FINISH(self->asan_fake_stack_);
   // A later pass re-entered `self` (parked lanes only; finished lanes are
   // never switched back into).
 }
 
-void FastChain::park() { dispatch_from(current_, /*to_sched=*/false); }
+#if defined(ACCRED_ASAN_FIBERS)
+void FastChain::asan_finish_switch(void* fake_stack) {
+  const void* bottom = nullptr;
+  std::size_t size = 0;
+  __sanitizer_finish_switch_fiber(fake_stack, &bottom, &size);
+  if (asan_from_sched_) {
+    asan_sched_bottom_ = bottom;
+    asan_sched_size_ = size;
+    asan_from_sched_ = false;
+  }
+}
+#endif
+
+void FastChain::park() {
+  parks_ += 1;
+  dispatch_from(current_, /*to_sched=*/false);
+}
 
 void FastChain::leave() {
   Fiber* self = current_;

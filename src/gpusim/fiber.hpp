@@ -32,6 +32,16 @@
 #endif
 #endif
 
+// AddressSanitizer likewise tracks one stack per thread unless told about
+// each switch (and, for detect_stack_use_after_return, about each fake
+// stack): under -fsanitize=address (the asan-ubsan preset) every switch
+// is bracketed by __sanitizer_start/finish_switch_fiber, and a re-armed
+// pooled stack is unpoisoned, since abandoned frames leave their scopes
+// poisoned.
+#if defined(__SANITIZE_ADDRESS__)
+#define ACCRED_ASAN_FIBERS 1
+#endif
+
 namespace accred::gpusim {
 
 class FastChain;
@@ -114,6 +124,9 @@ private:
 #if defined(ACCRED_TSAN_FIBERS)
   void* tsan_fiber_ = nullptr;  // TSan-side context for this fiber
 #endif
+#if defined(ACCRED_ASAN_FIBERS)
+  void* asan_fake_stack_ = nullptr;  // ASan fake stack while suspended
+#endif
 };
 
 /// Converged-warp pass driver: runs an ordered list of lane fibers with one
@@ -137,6 +150,10 @@ public:
   /// and continue the pass. Returns when a later pass re-enters the lane.
   void park();
 
+  /// park() calls since construction: a deterministic count of lane
+  /// suspensions for tests (not part of any record).
+  [[nodiscard]] std::uint64_t parks() const noexcept { return parks_; }
+
   /// Lane side: the running lane is finished — normally or with its
   /// exception already stored via Fiber::set_exception(). Marks the fiber
   /// done, abandons its frame, and continues the pass; on a stored
@@ -152,10 +169,21 @@ private:
   const std::uint32_t* order_ = nullptr;
   std::uint32_t count_ = 0;
   std::uint32_t next_ = 0;          ///< next order_ index to enter
+  std::uint64_t parks_ = 0;
   Fiber* current_ = nullptr;        ///< lane holding control (eptr lookup)
   FiberContext sched_ctx_{};        ///< scheduler frame while a pass runs
 #if defined(ACCRED_TSAN_FIBERS)
   void* tsan_sched_ = nullptr;
+#endif
+#if defined(ACCRED_ASAN_FIBERS)
+  friend class Fiber;  // the trampoline completes a lane's first switch
+  /// Complete a switch into the running stack; the first lane a pass
+  /// enters learns the scheduler stack's bounds from it.
+  void asan_finish_switch(void* fake_stack);
+  void* asan_sched_fake_stack_ = nullptr;
+  const void* asan_sched_bottom_ = nullptr;
+  std::size_t asan_sched_size_ = 0;
+  bool asan_from_sched_ = false;
 #endif
 };
 

@@ -55,6 +55,35 @@ void BlockScheduler::run_thread(void* arg) {
   s.chain_.leave();  // never returns
 }
 
+void BlockScheduler::run_pass() {
+  const auto n = static_cast<std::uint32_t>(ready_.size());
+  if (block_.live_programs == 0) {
+    // One chained pass: lane -> lane -> ... -> scheduler, a single context
+    // switch per suspension, lanes in ready-list order.
+    chain_.run(fiber_raw_.data(), ready_.data(), n);
+    return;
+  }
+  // Same order with lane programs among the lanes: each program lane steps
+  // here between the chained runs of the fiber lanes around it, so every
+  // ThreadCtx call happens in the order a fully chained pass would make it.
+  // A step's exception leaves through run_block's handlers.
+  std::uint32_t run = 0;  // first lane of the pending fiber run
+  for (std::uint32_t k = 0; k < n; ++k) {
+    LaneProgram& p = block_.programs[ready_[k]];
+    if (p.step == nullptr) continue;
+    if (run < k) chain_.run(fiber_raw_.data(), ready_.data() + run, k - run);
+    run = k + 1;
+    if (!p.step(p.state)) {
+      p = {};
+      block_.live_programs -= 1;
+      // Past its last rendezvous without parking (a skipped barrier): the
+      // fiber continues in this pass, first of the next run.
+      if (block_.phase[ready_[k]] == ThreadPhase::kReady) run = k;
+    }
+  }
+  if (run < n) chain_.run(fiber_raw_.data(), ready_.data() + run, n - run);
+}
+
 void BlockScheduler::advance_warp(std::uint32_t w, std::uint32_t nthreads) {
   const std::uint32_t first = w * 32;
   const std::uint32_t last = std::min(first + 32, nthreads);
@@ -67,12 +96,7 @@ void BlockScheduler::advance_warp(std::uint32_t w, std::uint32_t nthreads) {
   }
   std::vector<std::uint32_t>& arrived = block_.warp_pending[w];
   for (;;) {
-    if (!ready_.empty()) {
-      // One chained pass: lane -> lane -> ... -> scheduler, a single
-      // context switch per suspension, lanes in ready-list order.
-      chain_.run(fiber_raw_.data(), ready_.data(),
-                 static_cast<std::uint32_t>(ready_.size()));
-    }
+    if (!ready_.empty()) run_pass();
     // Every resumed lane is now parked at syncwarp (listed in `arrived`),
     // at the block barrier, or done.
     if (arrived.empty()) {
@@ -158,6 +182,9 @@ BlockRun BlockScheduler::run_block(const KernelFn& kernel,
   for (std::uint32_t w = 0; w < nwarps; ++w) block_.warp_pending[w].clear();
   block_.phase.assign(nthreads, ThreadPhase::kReady);
   block_.barrier_seq.assign(nthreads, 0);
+  // A prior block may have faulted with programs still registered.
+  block_.programs.assign(nthreads, LaneProgram{});
+  block_.live_programs = 0;
   block_.barriers = 0;
   block_.syncwarps = 0;
   block_.barrier_exit_divergence = false;

@@ -134,10 +134,20 @@ public:
   /// driver once per shard before its first run_block.
   void begin_launch() { prof_table_.clear(); }
 
+  /// Lane fiber suspensions since construction (FastChain::parks): lets
+  /// tests pin how often a kernel parks. Deterministic, never serialized.
+  [[nodiscard]] std::uint64_t fiber_parks() const noexcept {
+    return chain_.parks();
+  }
+
 private:
   /// Run warp `w` until every lane is at a block barrier or done,
   /// releasing syncwarp rendezvous along the way.
   void advance_warp(std::uint32_t w, std::uint32_t nthreads);
+
+  /// Run every lane of ready_ once to its next suspension, in list order:
+  /// program lanes step on this stack, runs of fiber lanes chain.
+  void run_pass();
 
   /// Fiber entry point for one simulated thread (Fiber::RawEntry): builds
   /// the ThreadCtx and runs the current kernel. Arming it stores two

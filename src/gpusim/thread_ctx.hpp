@@ -29,6 +29,18 @@ enum class ThreadPhase : std::uint8_t {
   kDone,        ///< kernel function returned
 };
 
+/// A resumable stretch of device code that the scheduler runs on its own
+/// stack between rendezvous (DESIGN.md §12, "Lane programs"). `step(state)`
+/// runs the lane from its last rendezvous through its next arrival and
+/// returns true while another rendezvous follows the one just arrived at.
+/// On false the lane is past its last one: parked at it, or — when an
+/// injected skip_barrier dropped it — still runnable.
+struct LaneProgram {
+  using Step = bool (*)(void* state);
+  Step step = nullptr;
+  void* state = nullptr;
+};
+
 /// Everything shared by the threads of the block currently being simulated.
 /// Owned by the scheduler; referenced by ThreadCtx.
 struct BlockState {
@@ -62,6 +74,11 @@ struct BlockState {
   /// by the scheduler; the barrier suspend sites park through it so a
   /// suspending lane switches straight into the next lane of the pass.
   FastChain* chain = nullptr;
+  /// Per thread: the lane program the scheduler steps in place of resuming
+  /// the lane's parked fiber (ThreadCtx::run_program), or a null step.
+  /// Re-armed per block with its capacity kept.
+  std::vector<LaneProgram> programs;
+  std::uint32_t live_programs = 0;  ///< non-null entries of `programs`
   std::uint64_t barriers = 0;           ///< syncthreads executed by the block
   std::uint64_t syncwarps = 0;
   bool barrier_exit_divergence = false; ///< a thread exited while others
@@ -95,31 +112,53 @@ public:
 
   /// Block-wide barrier (__syncthreads).
   void syncthreads() {
-    if (block_->faults != nullptr) {
-      block_->faults->on_instr(tid_, cur_stage(), block_->barrier_seq[tid_]);
-      // An injected skip_barrier makes this thread sail past its nth
-      // syncthreads — the call neither parks the fiber nor bumps its
-      // barrier ordinal, exactly as if the source line were deleted.
-      if (block_->faults->skip_barrier(tid_, cur_stage(),
-                                       block_->barrier_seq[tid_])) {
-        return;
-      }
-    }
-    block_->phase[tid_] = ThreadPhase::kAtBarrier;
-    block_->barrier_seq[tid_] += 1;
-    suspend();
+    if (arrive_syncthreads()) suspend();
   }
 
   /// Warp-wide barrier (__syncwarp). Free on Kepler (SIMD-synchronous
   /// warps); required in the simulator wherever real code relies on warp
   /// lockstep, e.g. the unrolled last-warp tree steps of §3.1.1.
   void syncwarp() {
+    arrive_syncwarp();
+    suspend();
+  }
+
+  /// Arrival half of syncthreads: everything but parking. Returns false
+  /// when an injected skip_barrier drops this barrier — the thread sails
+  /// past it without parking or bumping its barrier ordinal, exactly as if
+  /// the source line were deleted.
+  bool arrive_syncthreads() {
+    if (block_->faults != nullptr) {
+      block_->faults->on_instr(tid_, cur_stage(), block_->barrier_seq[tid_]);
+      if (block_->faults->skip_barrier(tid_, cur_stage(),
+                                       block_->barrier_seq[tid_])) {
+        return false;
+      }
+    }
+    block_->phase[tid_] = ThreadPhase::kAtBarrier;
+    block_->barrier_seq[tid_] += 1;
+    return true;
+  }
+
+  /// Arrival half of syncwarp (a warp rendezvous is never skipped).
+  void arrive_syncwarp() {
     if (block_->faults != nullptr) {
       block_->faults->on_instr(tid_, cur_stage(), block_->barrier_seq[tid_]);
     }
     block_->phase[tid_] = ThreadPhase::kAtSyncwarp;
     block_->warp_pending[warp()].push_back(tid_);
-    suspend();
+  }
+
+  /// Run a lane program (LaneProgram): its first step runs here, then the
+  /// fiber parks once and the scheduler steps the program at every later
+  /// release, resuming the fiber only once the program is past its last
+  /// rendezvous. `state` must outlive the call (a frame in the caller).
+  void run_program(LaneProgram::Step step, void* state) {
+    if (step(state)) {
+      block_->programs[tid_] = {step, state};
+      block_->live_programs += 1;
+    }
+    if (block_->phase[tid_] != ThreadPhase::kReady) suspend();
   }
 
   /// Charge `units` of arithmetic work to this lane (index math, compare,

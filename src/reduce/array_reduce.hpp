@@ -11,6 +11,8 @@
 //     kernel finalizes every element (the Fig. 5c pattern, vectorized).
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "reduce/finalize.hpp"
@@ -85,7 +87,18 @@ ArrayReduceResult<T> run_array_reduction(gpusim::Device& dev,
     const std::uint32_t bid = ctx.blockIdx.x;
     const std::size_t gtid = static_cast<std::size_t>(bid) * nthreads + tid;
 
-    std::vector<T> priv(array_len, rop.identity());
+    // The private copies live in one slab per host thread, not in the lane
+    // frames: a faulting launch abandons its lanes' frames without
+    // unwinding them (Fiber::abandon), so a frame-owned vector would leak.
+    // A host thread simulates one block at a time, and the block's first
+    // lane to start sizes the slab for all of its lanes before any of them
+    // holds a span into it.
+    thread_local std::vector<T> slab;
+    const std::size_t need = static_cast<std::size_t>(nthreads) * array_len;
+    if (slab.size() < need) slab.resize(need);
+    const std::span<T> priv(
+        slab.data() + static_cast<std::size_t>(tid) * array_len, array_len);
+    std::fill(priv.begin(), priv.end(), rop.identity());
     ArrayAccum<T> accum(ctx, priv, rop);
     device_loop(sc.assignment, extent, static_cast<std::int64_t>(gtid),
                 static_cast<std::int64_t>(total_threads),

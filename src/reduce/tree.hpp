@@ -15,6 +15,14 @@
 // functions contain barriers; the leading barrier orders the staging
 // stores). Non-participants pass `local >= count`. On return, the result
 // sits in the row's first element and is visible block-wide.
+//
+// In the simulator the tree runs as a lane program (DESIGN.md §12): the
+// calling lane's fiber parks once, at the leading barrier, and the block
+// scheduler steps the remaining rendezvous on its own stack, making the
+// same ThreadCtx calls in the same order as straight-line code would. An
+// exception raised inside a step (an out-of-range index, an injected
+// warp_abort) surfaces from the launch as it would from the kernel body,
+// but cannot be caught by the kernel around the tree call.
 #pragma once
 
 #include <bit>
@@ -58,6 +66,115 @@ namespace detail {
 // staged element type. Payload reductions (acc::ArgMinOp over
 // acc::ValueIndex pairs, the bench's moment pairs) reuse the tree
 // unchanged this way.
+//
+// The tree as one lane's resumable program (gpusim::LaneProgram): lead
+// barrier, optional pre-fold, one state per stride, publish barrier. Each
+// step makes exactly the ThreadCtx calls the same stretch of a
+// straight-line loop would, up to and including the arrival half of the
+// next rendezvous.
+template <typename Mem, typename Op>
+class TreeProgram {
+public:
+  TreeProgram(accred::gpusim::ThreadCtx& ctx, const Mem& mem,
+              std::uint32_t row_base, std::uint32_t count,
+              std::uint32_t stride_elems, std::uint32_t local, Op op,
+              const TreeOptions& opt, bool warp_tail_ok)
+      : ctx_(&ctx),
+        mem_(mem),
+        op_(op),
+        row_base_(row_base),
+        count_(count),
+        stride_elems_(stride_elems),
+        local_(local),
+        pow2_(count > 1 ? std::bit_floor(count) : 1),
+        sequential_(opt.addr == AddrMode::kSequential),
+        // Switch to syncwarp once a single warp of lanes remains; the warp
+        // result is then published block-wide by one more syncthreads.
+        warp_tail_(sequential_ && opt.unroll_last_warp && warp_tail_ok),
+        full_unroll_(opt.full_unroll),
+        stride_(sequential_ ? pow2_ / 2 : 1) {}
+
+  /// LaneProgram::Step over a TreeProgram.
+  static bool step(void* self) {
+    return static_cast<TreeProgram*>(self)->advance();
+  }
+
+private:
+  enum class State : std::uint8_t { kLead, kPreFold, kStride, kPublish, kEnd };
+
+  bool advance() {
+    for (;;) {
+      switch (state_) {
+        case State::kLead:  // order the callers' staging stores
+          state_ = count_ <= 1       ? State::kEnd
+                   : count_ > pow2_ ? State::kPreFold
+                                    : State::kStride;
+          if (ctx_->arrive_syncthreads()) return state_ != State::kEnd;
+          break;
+        case State::kPreFold:
+          // Pre-fold the non-power-of-2 overhang (§3.3): element i absorbs
+          // element i + pow2 for i < count - pow2.
+          if (local_ < count_ - pow2_) combine(local_, local_ + pow2_);
+          state_ = State::kStride;
+          if (ctx_->arrive_syncthreads()) return true;
+          break;
+        case State::kStride:
+          if (stride_step()) return state_ != State::kEnd;
+          break;
+        case State::kPublish:  // the warp-private tail result, block-wide
+          state_ = State::kEnd;
+          if (ctx_->arrive_syncthreads()) return false;
+          break;
+        case State::kEnd:
+          return false;
+      }
+    }
+  }
+
+  /// One log step; true when the lane arrived at (did not skip) its
+  /// closing rendezvous.
+  bool stride_step() {
+    const std::uint32_t s = stride_;
+    bool warp_scope = false;
+    if (sequential_) {
+      warp_scope = warp_tail_ && s < 32;
+      if (local_ < s) combine(local_, local_ + s);
+      stride_ = s / 2;
+      if (stride_ == 0) state_ = warp_tail_ ? State::kPublish : State::kEnd;
+    } else {
+      // Interleaved-thread addressing (Harris kernel 1): thread 2*s*m folds
+      // element 2*s*m + s. Highly divergent within warps, and the active
+      // threads span warps throughout, so every step is a syncthreads.
+      if (local_ < pow2_ && local_ % (2 * s) == 0) combine(local_, local_ + s);
+      stride_ = s * 2;
+      if (stride_ >= pow2_) state_ = State::kEnd;
+    }
+    if (!full_unroll_) ctx_->alu(2);  // loop bookkeeping per step
+    if (warp_scope) {
+      ctx_->arrive_syncwarp();
+      return true;
+    }
+    return ctx_->arrive_syncthreads();
+  }
+
+  void combine(std::uint32_t dst, std::uint32_t src) {
+    const auto a = mem_.load(*ctx_, elem(dst));
+    const auto b = mem_.load(*ctx_, elem(src));
+    mem_.store(*ctx_, elem(dst), op_.apply(a, b));
+  }
+  [[nodiscard]] std::uint32_t elem(std::uint32_t idx) const {
+    return row_base_ + idx * stride_elems_;
+  }
+
+  accred::gpusim::ThreadCtx* ctx_;
+  Mem mem_;
+  Op op_;
+  std::uint32_t row_base_, count_, stride_elems_, local_, pow2_;
+  bool sequential_, warp_tail_, full_unroll_;
+  std::uint32_t stride_;  ///< the next log step's stride
+  State state_ = State::kLead;
+};
+
 template <typename Mem, typename Op>
 void tree_reduce_impl(accred::gpusim::ThreadCtx& ctx, const Mem& mem,
                       std::uint32_t row_base, std::uint32_t count,
@@ -68,53 +185,9 @@ void tree_reduce_impl(accred::gpusim::ThreadCtx& ctx, const Mem& mem,
   // in-block tree books into one profiler stage — the per-stage bank
   // conflict factor here is what separates Fig. 6b from 6c.
   auto prof = ctx.prof_scope("tree");
-  auto elem = [&](std::uint32_t idx) -> std::uint32_t {
-    return row_base + idx * stride_elems;
-  };
-  auto combine = [&](std::uint32_t dst, std::uint32_t src) {
-    const auto a = mem.load(ctx, elem(dst));
-    const auto b = mem.load(ctx, elem(src));
-    mem.store(ctx, elem(dst), op.apply(a, b));
-  };
-
-  ctx.syncthreads();  // order the callers' staging stores
-  if (count <= 1) return;
-
-  const std::uint32_t pow2 = std::bit_floor(count);
-  // Pre-fold the non-power-of-2 overhang (§3.3): element i absorbs
-  // element i + pow2 for i < count - pow2.
-  if (count > pow2) {
-    if (local < count - pow2) combine(local, local + pow2);
-    ctx.syncthreads();
-  }
-
-  if (opt.addr == AddrMode::kSequential) {
-    bool tail_warp_scoped = false;
-    for (std::uint32_t stride = pow2 / 2; stride >= 1; stride /= 2) {
-      const bool warp_scope =
-          opt.unroll_last_warp && warp_tail_ok && stride < 32;
-      if (local < stride) combine(local, local + stride);
-      if (!opt.full_unroll) ctx.alu(2);  // loop bookkeeping per step
-      if (warp_scope) {
-        ctx.syncwarp();
-        tail_warp_scoped = true;
-      } else {
-        ctx.syncthreads();
-      }
-    }
-    // Publish the warp-private tail result to the whole block.
-    if (tail_warp_scoped) ctx.syncthreads();
-  } else {
-    // Interleaved-thread addressing (Harris kernel 1): thread 2*stride*m
-    // folds element 2*stride*m + stride. Highly divergent within warps.
-    for (std::uint32_t stride = 1; stride < pow2; stride *= 2) {
-      if (local < pow2 && local % (2 * stride) == 0) {
-        combine(local, local + stride);
-      }
-      if (!opt.full_unroll) ctx.alu(2);
-      ctx.syncthreads();  // active threads span warps throughout
-    }
-  }
+  TreeProgram<Mem, Op> program(ctx, mem, row_base, count, stride_elems, local,
+                               op, opt, warp_tail_ok);
+  ctx.run_program(&TreeProgram<Mem, Op>::step, &program);
 }
 
 template <typename T>
